@@ -223,7 +223,7 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
   // time on a BatchedStatevector -- the final group of a ragged batch
   // may be padded (tail compaction) -- and the scalar loop handles
   // whatever the partition left over (the whole batch when the
-  // calibrated cost model says lanes == 1). Lane L of a group evolves
+  // lane policy says lanes == 1). Lane L of a group evolves
   // bit-identically to the scalar path and padding lanes are discarded,
   // so the partition is invisible in the results.
   const sim::LanePartition part =

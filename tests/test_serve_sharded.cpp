@@ -5,8 +5,9 @@
 // count and routing, structure-affinity routing on heterogeneous pools,
 // in-flight duplicate folding (fan-out, inference accounting, and its
 // hard OFF on stochastic replicas), admission control (shed and block
-// policies), clean shutdown draining every lane, per-replica metrics,
-// and pool construction validation.
+// policies), a replica failing on one structure, clean shutdown
+// draining every lane, per-replica metrics, and pool construction
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "qoc/circuit/layers.hpp"
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/noise/device_model.hpp"
+#include "qoc/obs/metrics.hpp"
 #include "qoc/serve/serve.hpp"
 #include "qoc/vqe/hamiltonian.hpp"
 #include "qoc/vqe/vqe.hpp"
@@ -119,6 +121,36 @@ class GateBackend final : public backend::Backend {
   std::condition_variable cv_;
   bool open_ = false;
   std::size_t entries_ = 0;
+};
+
+/// Exact backend whose execute_batch throws for one circuit structure
+/// and delegates every other structure to an exact StatevectorBackend:
+/// a replica that is broken for some structures only.
+class FailingStructureBackend final : public backend::Backend {
+ public:
+  explicit FailingStructureBackend(const circuit::Circuit& failing)
+      : failing_hash_(exec::structure_hash(failing)) {}
+
+  std::string name() const override { return "failing-structure"; }
+  bool deterministic() const override { return true; }
+
+ protected:
+  std::vector<double> execute(const circuit::Circuit& c,
+                              std::span<const double> theta,
+                              std::span<const double> input) override {
+    return inner_.run(c, theta, input);
+  }
+  std::vector<std::vector<double>> execute_batch(
+      const exec::CompiledCircuit& plan,
+      std::span<const exec::Evaluation> evals, unsigned threads) override {
+    if (plan.structure_hash() == failing_hash_)
+      throw std::runtime_error("replica fault");
+    return inner_.run_batch(plan, evals, threads);
+  }
+
+ private:
+  std::uint64_t failing_hash_;
+  backend::StatevectorBackend inner_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -678,6 +710,75 @@ TEST(ServeSharded, ShedUnderFullQueueOfFoldedDuplicates) {
   EXPECT_EQ(m.folded_jobs, 1u);    // one duplicate folded onto its leader
   EXPECT_EQ(m.failed, 0u);
   EXPECT_EQ(gate.inference_count(), 2u);  // job 0 + one folded execution
+}
+
+// ---------------------------------------------------------------------------
+// Failure paths
+// ---------------------------------------------------------------------------
+
+// A backend exception fails exactly the jobs of the batch that threw:
+// their futures rethrow it, the failure is counted (snapshot and obs
+// counter alike), the in-flight count drains back to zero, and the lane
+// stays alive for later batches of another structure.
+TEST(ServeSharded, ReplicaFailingOneStructureFailsOnlyItsJobs) {
+  const auto bad = make_qnn(3, 4, 1);
+  const auto good = make_qnn(4, 6, 2);
+  FailingStructureBackend backend(bad);
+#if QOC_OBS
+  auto& reg = obs::Registry::global();
+  const auto failed0 = reg.counter("qoc_serve_jobs_failed_total").value();
+#endif
+  serve::ServeSession session(backend, fast_options());
+  const auto hbad = session.register_circuit(bad);
+  const auto hgood = session.register_circuit(good);
+  auto client = session.client();
+
+  constexpr unsigned kBad = 5;
+  std::vector<std::future<std::vector<double>>> failing;
+  for (unsigned k = 0; k < kBad; ++k)
+    failing.push_back(client.submit(hbad, make_theta(bad.num_trainable(), 0, k),
+                                    make_input(bad.num_inputs(), 0, k)));
+  for (auto& f : failing) {
+    try {
+      (void)f.get();
+      ADD_FAILURE() << "future of a failed batch returned a value";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "replica fault");
+    }
+  }
+  {
+    const auto m = session.metrics();
+    EXPECT_EQ(m.failed, kBad);
+    EXPECT_EQ(m.completed, 0u);
+    EXPECT_EQ(m.in_flight, 0u);
+  }
+#if QOC_OBS
+  EXPECT_EQ(reg.counter("qoc_serve_jobs_failed_total").value() - failed0,
+            kBad);
+#endif
+
+  // The same replica keeps serving the other structure.
+  constexpr unsigned kGood = 6;
+  std::vector<std::future<std::vector<double>>> futures;
+  std::vector<std::vector<double>> thetas, inputs;
+  for (unsigned k = 0; k < kGood; ++k) {
+    thetas.push_back(make_theta(good.num_trainable(), 1, k));
+    inputs.push_back(make_input(good.num_inputs(), 1, k));
+    futures.push_back(client.submit(hgood, thetas.back(), inputs.back()));
+  }
+  std::vector<exec::Evaluation> evals;
+  for (unsigned k = 0; k < kGood; ++k)
+    evals.push_back({thetas[k], inputs[k], exec::Evaluation::kNoShift, 0.0});
+  backend::StatevectorBackend direct(0);
+  const auto expected =
+      direct.run_batch(exec::CompiledCircuit::compile(good), evals);
+  for (unsigned k = 0; k < kGood; ++k)
+    EXPECT_EQ(futures[k].get(), expected[k]) << "job " << k;
+
+  const auto m = session.metrics();
+  EXPECT_EQ(m.failed, kBad);
+  EXPECT_EQ(m.completed, kGood);
+  EXPECT_EQ(m.in_flight, 0u);
 }
 
 // ---------------------------------------------------------------------------
