@@ -2,7 +2,7 @@
 // Execution backends.
 //
 // A Backend runs a bound PQC and returns the Pauli-Z expectation value of
-// every (logical) qubit -- the f(theta) of Eq. 1. Two implementations:
+// every (logical) qubit -- the f(theta) of Eq. 1. Three implementations:
 //
 //  * StatevectorBackend -- the paper's "Classical-Train" baseline: exact
 //    amplitudes, optional shot sampling ("sample based on the amplitude
@@ -13,7 +13,12 @@
 //    trajectories with depolarizing gate errors, thermal relaxation and
 //    readout bit-flips, and finally sampled with a finite shot budget.
 //
-// Both count every run() as one "inference", the x-axis of Fig. 6.
+//  * DensityMatrixBackend -- the same device pipeline with noise applied
+//    exactly: the deterministic oracle NoisyBackend is validated against.
+//
+// All three count every run() and every run_batch() evaluation as one
+// "inference", the x-axis of Fig. 6; expect_batch() counts one per
+// measured execution (see inference_count()).
 //
 // The bind-once-run-many entry point is run_batch(): callers compile a
 // circuit into an exec::CompiledCircuit once (per model) and submit many
@@ -170,21 +175,26 @@ class Backend {
   void reset_inference_count() { inferences_.store(0); }
 
  protected:
+  /// Circuit-based single evaluation behind run(circuit). The default
+  /// compiles (or reuses) the circuit's plan through plan_cached and
+  /// runs it through execute_batch; decorators may override it.
   virtual std::vector<double> execute(const circuit::Circuit& c,
                                       std::span<const double> theta,
-                                      std::span<const double> input) = 0;
+                                      std::span<const double> input) {
+    return execute_single(*plan_cached(c), theta, input);
+  }
 
-  /// Batched execution. The default implementation materialises each
-  /// evaluation as a (shifted) circuit and loops over execute(), so
-  /// custom backends that only implement execute() still support the
-  /// batched API; the bundled backends override this with amortised
-  /// implementations.
+  /// Batched execution, the one hook every backend implements: <Z_q>
+  /// per logical qubit for each evaluation, in submission order, under
+  /// run_batch's determinism contract (parameter shifts and pinned
+  /// streams honoured, results independent of `threads`). Inference
+  /// accounting happens in the public wrappers.
   virtual std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
-      std::span<const exec::Evaluation> evals, unsigned threads);
+      std::span<const exec::Evaluation> evals, unsigned threads) = 0;
 
   /// Batched Hamiltonian expectation. Joint Pauli products cannot be
-  /// reconstructed from execute()'s per-qubit <Z>, so there is no
+  /// reconstructed from execute_batch's per-qubit <Z>, so there is no
   /// generic fallback: the default throws, and backends with native
   /// state access override. Implementations do their own inference
   /// accounting via add_inferences (one per measured execution).
@@ -200,14 +210,14 @@ class Backend {
   }
 
   /// Compile-or-reuse a plan for `c`, keyed on its structural signature.
-  /// Lets the circuit-based run() path share all plan-level caching. The
+  /// Lets the circuit-based execute() share all plan-level caching. The
   /// cache is cleared when it outgrows a fixed cap, so callers that
   /// generate unbounded families of circuits cannot leak.
   std::shared_ptr<const exec::CompiledCircuit> plan_cached(
       const circuit::Circuit& c);
 
-  /// One evaluation of a plan through execute_batch (no inference count;
-  /// shared by the bundled backends' circuit-based execute() paths).
+  /// One evaluation of a plan through execute_batch (no inference
+  /// count).
   std::vector<double> execute_single(const exec::CompiledCircuit& plan,
                                      std::span<const double> theta,
                                      std::span<const double> input) {
@@ -265,9 +275,6 @@ class StatevectorBackend final : public Backend {
   int batch_lanes() const { return batch_lanes_; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -277,13 +284,15 @@ class StatevectorBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// Stream for an evaluation that pinned Evaluation::rng_stream: pure
-  /// function of (constructor seed, stream id), same derivation as
-  /// NoisyBackend::execution_rng. Auto evaluations instead split from
-  /// the shared rng_ in submission order (the legacy behaviour).
-  Prng stream_rng(std::uint64_t stream) const {
-    return Prng(seed_ + 0x9E3779B97F4A7C15ULL * (stream + 1));
-  }
+  /// Sampled mode's per-evaluation streams, derived before any worker
+  /// starts. Auto evaluations split from rng_ in submission order
+  /// (exactly the split sequence a loop of run() calls would draw);
+  /// evaluations that pinned Evaluation::rng_stream get a pure function
+  /// of (constructor seed, stream id) -- the derivation of
+  /// NoisyBackend::execution_rng -- and consume no split, so their
+  /// results are independent of batch composition.
+  std::vector<Prng> eval_streams(std::span<const exec::Evaluation> evals)
+      QOC_EXCLUDES(rng_mutex_);
 
   int shots_;
   std::uint64_t seed_;
@@ -377,9 +386,6 @@ class DensityMatrixBackend final : public Backend {
   const noise::DeviceModel& device() const { return device_; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -419,9 +425,6 @@ class NoisyBackend final : public Backend {
                              std::span<const double> input) const;
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -431,10 +434,10 @@ class NoisyBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// Batch-invariant noise model tables (depolarizing rates, per-qubit
-  /// relaxation channels and readout-error models): built once per
-  /// run_batch / expect_batch call instead of once per evaluation.
-  /// Defined in backend.cpp.
+  /// Batch-invariant trajectory configuration (depolarizing rates,
+  /// per-qubit relaxation channels, readout-error models and the
+  /// trajectory loop's shape): built once per run_batch / expect_batch
+  /// call instead of once per evaluation. Defined in backend.cpp.
   struct NoiseTables;
 
   /// Independent RNG stream for one execution; trajectories split from

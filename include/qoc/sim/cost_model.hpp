@@ -69,7 +69,18 @@ struct LanePartition {
   /// batch_size) runs the scalar path.
   std::size_t tail_start = 0;
 
+  /// Lane group g < groups() holds the real evaluations [first, first +
+  /// real): `lanes` of them in a full group, padded_evals in the padded
+  /// final group.
+  struct Group {
+    std::size_t first = 0;
+    std::size_t real = 0;
+  };
+
   std::size_t groups() const { return full_groups + (padded_evals ? 1 : 0); }
+  Group group(std::size_t g) const {
+    return {g * lanes, g < full_groups ? lanes : padded_evals};
+  }
 };
 
 /// Partition `batch_size` evaluations on an n-qubit register into

@@ -3,7 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "qoc/common/parallel.hpp"
@@ -21,7 +21,7 @@ using linalg::kI;
 using linalg::Matrix;
 
 // ---------------------------------------------------------------------------
-// Backend base: plan cache + compatibility batch path
+// Backend base: plan cache
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -47,40 +47,6 @@ std::shared_ptr<const exec::CompiledCircuit> Backend::plan_cached(
       exec::CompiledCircuit::compile(c)));
   ++plan_cache_entries_;
   return bucket.back();
-}
-
-std::vector<std::vector<double>> Backend::execute_batch(
-    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
-    unsigned threads) {
-  // Compatibility path for backends that only implement execute():
-  // materialise each evaluation as a concrete circuit. No amortisation,
-  // but identical semantics.
-  (void)threads;  // sequential: execute() need not be thread-safe here
-  const circuit::Circuit& src = plan.source();
-  std::vector<std::vector<double>> results(evals.size());
-  for (std::size_t k = 0; k < evals.size(); ++k) {
-    const auto& e = evals[k];
-    if (e.shift_op == exec::Evaluation::kNoShift) {
-      results[k] = execute(src, e.theta, e.input);
-      continue;
-    }
-    if (e.shift_op >= src.num_ops())
-      throw std::out_of_range("execute_batch: shift op index");
-    circuit::Circuit shifted(src.num_qubits());
-    for (std::size_t i = 0; i < src.num_ops(); ++i) {
-      const auto& op = src.op(i);
-      circuit::ParamRef p = op.param;
-      if (i == e.shift_op) {
-        if (!circuit::gate_is_parameterised(op.kind))
-          throw std::invalid_argument(
-              "execute_batch: shift op not parameterised");
-        p.value += e.shift;
-      }
-      shifted.add(op.kind, op.qubits, p);
-    }
-    results[k] = execute(shifted, e.theta, e.input);
-  }
-  return results;
 }
 
 std::vector<double> Backend::execute_expect_batch(
@@ -131,6 +97,93 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
 }
 
 // ---------------------------------------------------------------------------
+// Shared execution skeleton
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using LaneGroup = sim::LanePartition::Group;
+
+/// sim::partition_lanes plus lane-policy observability: how much of a
+/// dispatch ran k-wide, how many padding lanes the compacted ragged tail
+/// burned, and how many work items fell through to the scalar path.
+/// Counts work items (evaluations or noise trajectories), never drives
+/// control flow.
+sim::LanePartition lane_partition(int n_qubits, std::size_t total,
+                                  int pinned_lanes) {
+  const sim::LanePartition part =
+      sim::partition_lanes(n_qubits, total, pinned_lanes);
+  if (part.lanes > 1) {
+    QOC_METRIC_COUNTER_ADD("qoc_sim_lane_wide_groups_total", part.groups());
+    QOC_METRIC_COUNTER_ADD("qoc_sim_lane_wide_evals_total", part.tail_start);
+    if (part.padded_evals > 0) {
+      QOC_METRIC_COUNTER_ADD("qoc_sim_lane_tail_compacted_evals_total",
+                             part.padded_evals);
+      QOC_METRIC_COUNTER_ADD("qoc_sim_lane_tail_padding_lanes_total",
+                             part.lanes - part.padded_evals);
+    }
+  }
+  QOC_METRIC_COUNTER_ADD("qoc_sim_lane_scalar_evals_total",
+                         total - part.tail_start);
+  return part;
+}
+
+/// Walk an evaluation-major lane partition of `total` work items
+/// (evaluations or noise trajectories): every lane group, then every
+/// scalar-tail index, each range fanned over up to `threads` workers in
+/// chunks. make_group() / make_scalar() run once per chunk and return
+/// the step that chunk calls per group / per tail index, so a step's
+/// scratch (states, angle buffers) is built once per chunk, and only
+/// for the kind of work the chunk holds. Lane L of a group evolves
+/// bit-identically to the scalar path and padding lanes are discarded,
+/// so the partition never shows in the results.
+template <typename MakeGroupStep, typename MakeScalarStep>
+void walk_lanes(const sim::LanePartition& part, std::size_t total,
+                unsigned threads, const MakeGroupStep& make_group,
+                const MakeScalarStep& make_scalar) {
+  parallel_for_chunked(
+      0, part.groups(),
+      [&](std::size_t lo, std::size_t hi) {
+        auto step = make_group();
+        for (std::size_t g = lo; g < hi; ++g) step(part.group(g));
+      },
+      threads);
+  parallel_for_chunked(
+      part.tail_start, total,
+      [&](std::size_t lo, std::size_t hi) {
+        auto step = make_scalar();
+        for (std::size_t k = lo; k < hi; ++k) step(k);
+      },
+      threads);
+}
+
+/// Lower every evaluation through the routed program, fanned over up to
+/// `threads` workers: make_step() runs once per chunk and returns the
+/// step called as step(k, t) with evaluation k's transpiled circuit.
+/// Shared by the two transpiling backends.
+template <typename MakeStep>
+void for_each_transpiled(const exec::CompiledCircuit& plan,
+                         const transpile::RoutedProgram& routed,
+                         std::span<const exec::Evaluation> evals,
+                         unsigned threads, const MakeStep& make_step) {
+  parallel_for_chunked(
+      0, evals.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        auto step = make_step();
+        std::vector<double> angles;
+        for (std::size_t k = lo; k < hi; ++k) {
+          const auto& e = evals[k];
+          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
+                                     angles);
+          step(k, routed.transpile(angles));
+        }
+      },
+      threads);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // StatevectorBackend
 // ---------------------------------------------------------------------------
 
@@ -146,10 +199,17 @@ StatevectorBackend::StatevectorBackend(const StatevectorBackendOptions& options)
     throw std::invalid_argument("StatevectorBackend: shots < 0");
 }
 
-std::vector<double> StatevectorBackend::execute(
-    const circuit::Circuit& c, std::span<const double> theta,
-    std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
+std::vector<Prng> StatevectorBackend::eval_streams(
+    std::span<const exec::Evaluation> evals) {
+  std::vector<Prng> rngs;
+  rngs.reserve(evals.size());
+  const common::MutexLock lock(rng_mutex_);
+  for (const auto& e : evals)
+    rngs.push_back(e.rng_stream == exec::Evaluation::kAutoStream
+                       ? rng_.split()
+                       : Prng(seed_ + 0x9E3779B97F4A7C15ULL *
+                                          (e.rng_stream + 1)));
+  return rngs;
 }
 
 namespace {
@@ -168,47 +228,50 @@ std::vector<double> expectations_from_samples(
   return acc;
 }
 
-/// One lane group of an evaluation-major partition. `evals` always
-/// holds part.lanes entries -- the compacted ragged tail's final group
-/// is padded by repeating its last real evaluation -- and first/real
-/// locate the real work: results and RNG streams exist only for lanes
-/// l < real; padding lanes compute a discarded state and never touch a
-/// stream.
-struct LaneGroup {
-  std::span<const exec::Evaluation> evals;
-  std::size_t first = 0;
-  std::size_t real = 0;
-};
-
-LaneGroup lane_group(std::span<const exec::Evaluation> evals,
-                     const sim::LanePartition& part, std::size_t g,
-                     std::vector<exec::Evaluation>& padded_scratch) {
-  const std::size_t first = g * part.lanes;
-  if (g < part.full_groups)
-    return {evals.subspan(first, part.lanes), first, part.lanes};
-  const auto tail = evals.subspan(first, part.padded_evals);
-  padded_scratch.assign(tail.begin(), tail.end());
-  padded_scratch.resize(part.lanes, tail.back());
-  return {padded_scratch, first, part.padded_evals};
-}
-
-/// Lane-policy observability: how much of a dispatch ran k-wide, how
-/// many padding lanes the compacted ragged tail burned, and how many
-/// work items fell through to the scalar path. Counts work items
-/// (evaluations or noise trajectories), never drives control flow.
-void note_lane_metrics(const sim::LanePartition& part, std::size_t total) {
-  if (part.lanes > 1) {
-    QOC_METRIC_COUNTER_ADD("qoc_sim_lane_wide_groups_total", part.groups());
-    QOC_METRIC_COUNTER_ADD("qoc_sim_lane_wide_evals_total", part.tail_start);
-    if (part.padded_evals > 0) {
-      QOC_METRIC_COUNTER_ADD("qoc_sim_lane_tail_compacted_evals_total",
-                             part.padded_evals);
-      QOC_METRIC_COUNTER_ADD("qoc_sim_lane_tail_padding_lanes_total",
-                             part.lanes - part.padded_evals);
-    }
-  }
-  QOC_METRIC_COUNTER_ADD("qoc_sim_lane_scalar_evals_total",
-                         total - part.tail_start);
+/// Prepare every evaluation's state through `plan` along the lane
+/// partition and hand it to the caller's measurement step: a lane group
+/// on a BatchedStatevector (a padded group repeats its last real
+/// evaluation in the padding lanes), a tail evaluation on a
+/// Statevector. make_group() returns step(bsv, grp), make_scalar()
+/// returns step(sv, k); see walk_lanes.
+template <typename MakeGroupStep, typename MakeScalarStep>
+void prepare_lanes(const exec::CompiledCircuit& plan,
+                   std::span<const exec::Evaluation> evals,
+                   const sim::LanePartition& part, unsigned threads,
+                   const MakeGroupStep& make_group,
+                   const MakeScalarStep& make_scalar) {
+  const int n = plan.num_qubits();
+  walk_lanes(
+      part, evals.size(), threads,
+      [&] {
+        return [&, step = make_group(),
+                bsv = sim::BatchedStatevector(n, part.lanes),
+                angles = std::vector<double>(),
+                padded = std::vector<exec::Evaluation>()](
+                   LaneGroup grp) mutable {
+          std::span<const exec::Evaluation> lanes =
+              evals.subspan(grp.first, grp.real);
+          if (grp.real < part.lanes) {
+            padded.assign(lanes.begin(), lanes.end());
+            padded.resize(part.lanes, lanes.back());
+            lanes = padded;
+          }
+          plan.resolve_slots_lanes(lanes, angles);
+          bsv.reset();
+          plan.apply_batched(bsv, angles);
+          step(bsv, grp);
+        };
+      },
+      [&] {
+        return [&, step = make_scalar(), sv = sim::Statevector(n),
+                angles = std::vector<double>()](std::size_t k) mutable {
+          const auto& e = evals[k];
+          plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
+          sv.reset();
+          plan.apply(sv, angles);
+          step(sv, k);
+        };
+      });
 }
 
 }  // namespace
@@ -218,124 +281,58 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
     unsigned threads) {
   const int n = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
-
-  // Evaluation-major partition: lane groups execute k evaluations at a
-  // time on a BatchedStatevector -- the final group of a ragged batch
-  // may be padded (tail compaction) -- and the scalar loop handles
-  // whatever the partition left over (the whole batch when the
-  // lane policy says lanes == 1). Lane L of a group evolves
-  // bit-identically to the scalar path and padding lanes are discarded,
-  // so the partition is invisible in the results.
   const sim::LanePartition part =
-      sim::partition_lanes(n, evals.size(), batch_lanes_);
-  const std::size_t lanes = part.lanes;
-  note_lane_metrics(part, evals.size());
+      lane_partition(n, evals.size(), batch_lanes_);
   // `lanes` is the cost model's k-wide SoA verdict; the span shows how
   // much of a served batch actually ran grouped vs on the scalar tail.
   QOC_TRACE_SPAN_ARG("kernel", "sv_batch", "lanes",
-                     static_cast<std::int64_t>(lanes));
+                     static_cast<std::int64_t>(part.lanes));
 
   if (shots_ == 0) {
     // Exact mode: stateless, lock-free; scales linearly with threads.
-    // Chunked so the angle buffer and statevector are constructed once
-    // per worker chunk instead of once per evaluation.
-    if (part.groups() > 0) {
-      parallel_for_chunked(
-          0, part.groups(),
-          [&](std::size_t glo, std::size_t ghi) {
-            std::vector<double> angles;
-            std::vector<double> zexp;
-            std::vector<exec::Evaluation> padded;
-            sim::BatchedStatevector bsv(n, lanes);
-            for (std::size_t g = glo; g < ghi; ++g) {
-              const LaneGroup grp = lane_group(evals, part, g, padded);
-              plan.resolve_slots_lanes(grp.evals, angles);
-              bsv.reset();
-              plan.apply_batched(bsv, angles);
-              // One fused measurement pass for the whole lane group
-              // (bit-identical per lane to expectation_z_all(l)).
-              bsv.expectation_z_all_lanes(zexp);
-              for (std::size_t l = 0; l < grp.real; ++l) {
-                auto& r = results[grp.first + l];
-                r.resize(static_cast<std::size_t>(n));
-                for (int q = 0; q < n; ++q)
-                  r[static_cast<std::size_t>(q)] = zexp[
-                      static_cast<std::size_t>(q) * lanes + l];
-              }
+    prepare_lanes(
+        plan, evals, part, threads,
+        [&] {
+          return [&, zexp = std::vector<double>()](
+                     sim::BatchedStatevector& bsv, LaneGroup grp) mutable {
+            // One fused measurement pass for the whole lane group
+            // (bit-identical per lane to expectation_z_all(l)).
+            bsv.expectation_z_all_lanes(zexp);
+            for (std::size_t l = 0; l < grp.real; ++l) {
+              auto& r = results[grp.first + l];
+              r.resize(static_cast<std::size_t>(n));
+              for (int q = 0; q < n; ++q)
+                r[static_cast<std::size_t>(q)] =
+                    zexp[static_cast<std::size_t>(q) * part.lanes + l];
             }
-          },
-          threads);
-    }
-    parallel_for_chunked(
-        part.tail_start, evals.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> angles;
-          sim::Statevector sv(n);
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto& e = evals[k];
-            plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-            sv.reset();
-            plan.apply(sv, angles);
-            results[k] = sv.expectation_z_all();
-          }
+          };
         },
-        threads);
+        [&] {
+          return [&](sim::Statevector& sv, std::size_t k) {
+            results[k] = sv.expectation_z_all();
+          };
+        });
     return results;
   }
 
-  // Sampled mode: derive one RNG stream per evaluation before any worker
-  // starts. Auto evaluations split from the shared generator in
-  // submission order (exactly the split sequence a loop of run() calls
-  // would draw); evaluations that pinned Evaluation::rng_stream get the
-  // pure-function-of-(seed, stream) generator instead and consume no
-  // split, so their results are independent of batch composition. Lane
-  // grouping happens downstream of this assignment and each lane samples
-  // from its own evaluation's stream, so grouping cannot reorder draws.
-  std::vector<Prng> rngs;
-  rngs.reserve(evals.size());
-  {
-    const common::MutexLock lock(rng_mutex_);
-    for (std::size_t k = 0; k < evals.size(); ++k)
-      rngs.push_back(evals[k].rng_stream == exec::Evaluation::kAutoStream
-                         ? rng_.split()
-                         : stream_rng(evals[k].rng_stream));
-  }
-  if (part.groups() > 0) {
-    parallel_for_chunked(
-        0, part.groups(),
-        [&](std::size_t glo, std::size_t ghi) {
-          std::vector<double> angles;
-          std::vector<exec::Evaluation> padded;
-          sim::BatchedStatevector bsv(n, lanes);
-          for (std::size_t g = glo; g < ghi; ++g) {
-            const LaneGroup grp = lane_group(evals, part, g, padded);
-            plan.resolve_slots_lanes(grp.evals, angles);
-            bsv.reset();
-            plan.apply_batched(bsv, angles);
-            for (std::size_t l = 0; l < grp.real; ++l) {
-              const std::size_t k = grp.first + l;
-              const auto samples = bsv.sample(l, shots_, rngs[k]);
-              results[k] = expectations_from_samples(samples, n, shots_);
-            }
-          }
-        },
-        threads);
-  }
-  parallel_for_chunked(
-      part.tail_start, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::Statevector sv(n);
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-          sv.reset();
-          plan.apply(sv, angles);
-          const auto samples = sv.sample(shots_, rngs[k]);
-          results[k] = expectations_from_samples(samples, n, shots_);
-        }
+  // Sampled mode: each lane samples from its own evaluation's stream, so
+  // grouping cannot reorder draws.
+  std::vector<Prng> rngs = eval_streams(evals);
+  prepare_lanes(
+      plan, evals, part, threads,
+      [&] {
+        return [&](sim::BatchedStatevector& bsv, LaneGroup grp) {
+          for (std::size_t k = grp.first; k < grp.first + grp.real; ++k)
+            results[k] = expectations_from_samples(
+                bsv.sample(k - grp.first, shots_, rngs[k]), n, shots_);
+        };
       },
-      threads);
+      [&] {
+        return [&](sim::Statevector& sv, std::size_t k) {
+          results[k] =
+              expectations_from_samples(sv.sample(shots_, rngs[k]), n, shots_);
+        };
+      });
   return results;
 }
 
@@ -344,17 +341,12 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const int n = plan.num_qubits();
-  const std::size_t n_groups = observable.groups().size();
+  const auto& groups = observable.groups();
   std::vector<double> results(evals.size());
-
-  // Same evaluation-major partition as execute_batch (tail compaction
-  // included).
   const sim::LanePartition part =
-      sim::partition_lanes(n, evals.size(), batch_lanes_);
-  const std::size_t lanes = part.lanes;
-  note_lane_metrics(part, evals.size());
+      lane_partition(n, evals.size(), batch_lanes_);
   QOC_TRACE_SPAN_ARG("kernel", "sv_expect_batch", "lanes",
-                     static_cast<std::int64_t>(lanes));
+                     static_cast<std::int64_t>(part.lanes));
 
   if (shots_ == 0) {
     // Exact mode: one state per evaluation, every term analytic. The
@@ -363,128 +355,75 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
     // replays the same loop with each term's Pauli product applied once
     // per lane group.
     add_inferences(evals.size());
-    if (part.groups() > 0) {
-      parallel_for_chunked(
-          0, part.groups(),
-          [&](std::size_t glo, std::size_t ghi) {
-            std::vector<double> angles;
-            std::vector<double> lane_out;
-            std::vector<exec::Evaluation> padded;
-            sim::BatchedStatevector bsv(n, lanes);
-            for (std::size_t g = glo; g < ghi; ++g) {
-              const LaneGroup grp = lane_group(evals, part, g, padded);
-              plan.resolve_slots_lanes(grp.evals, angles);
-              bsv.reset();
-              plan.apply_batched(bsv, angles);
-              // Full-width scratch: a padded group still computes every
-              // lane; only the real entries land in results.
-              lane_out.assign(lanes, 0.0);
-              observable.expectation_lanes(bsv, lane_out);
-              for (std::size_t l = 0; l < grp.real; ++l)
-                results[grp.first + l] = lane_out[l];
-            }
-          },
-          threads);
-    }
-    parallel_for_chunked(
-        part.tail_start, evals.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> angles;
-          sim::Statevector sv(n);
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto& e = evals[k];
-            plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-            sv.reset();
-            plan.apply(sv, angles);
-            results[k] = observable.expectation(sv);
-          }
+    prepare_lanes(
+        plan, evals, part, threads,
+        [&] {
+          return [&, lane_out = std::vector<double>()](
+                     sim::BatchedStatevector& bsv, LaneGroup grp) mutable {
+            // Full-width scratch: a padded group still computes every
+            // lane; only the real entries land in results.
+            lane_out.assign(part.lanes, 0.0);
+            observable.expectation_lanes(bsv, lane_out);
+            for (std::size_t l = 0; l < grp.real; ++l)
+              results[grp.first + l] = lane_out[l];
+          };
         },
-        threads);
+        [&] {
+          return [&](sim::Statevector& sv, std::size_t k) {
+            results[k] = observable.expectation(sv);
+          };
+        });
     return results;
   }
 
   // Sampled mode: one ansatz preparation per evaluation, one measured
-  // execution per commuting group (basis-change suffix + Z sampling).
-  // Per-evaluation RNG streams are assigned in submission order and
-  // consumed sequentially within the evaluation, so results are
-  // deterministic and thread-count invariant. The lane path iterates
-  // groups outer / lanes inner, so each lane's stream still sees its
-  // groups in the same order as the scalar path -- identical draws.
-  add_inferences(evals.size() * n_groups);
-  std::vector<Prng> rngs;
-  rngs.reserve(evals.size());
-  {
-    // Same stream assignment as execute_batch: submission-order splits
-    // for auto evaluations, pinned streams consume no split.
-    const common::MutexLock lock(rng_mutex_);
-    for (std::size_t k = 0; k < evals.size(); ++k)
-      rngs.push_back(evals[k].rng_stream == exec::Evaluation::kAutoStream
-                         ? rng_.split()
-                         : stream_rng(evals[k].rng_stream));
-  }
-  if (part.groups() > 0) {
-    parallel_for_chunked(
-        0, part.groups(),
-        [&](std::size_t glo, std::size_t ghi) {
-          std::vector<double> angles;
-          std::vector<exec::Evaluation> padded;
-          sim::BatchedStatevector bsv(n, lanes);
-          sim::BatchedStatevector bmeas(n, lanes);  // suffix scratch
-          for (std::size_t g = glo; g < ghi; ++g) {
-            const LaneGroup grp = lane_group(evals, part, g, padded);
-            plan.resolve_slots_lanes(grp.evals, angles);
-            bsv.reset();
-            plan.apply_batched(bsv, angles);
-            for (std::size_t l = 0; l < grp.real; ++l)
-              results[grp.first + l] = observable.constant();
-            for (std::size_t gi = 0; gi < n_groups; ++gi) {
-              // One suffix application per lane group per commuting
-              // group (not per lane); all-Z groups skip the copy.
-              const sim::BatchedStatevector* src = &bsv;
-              if (!observable.groups()[gi].suffix.empty()) {
-                bmeas = bsv;
-                observable.apply_suffix_lanes(bmeas, gi);
-                src = &bmeas;
-              }
-              for (std::size_t l = 0; l < grp.real; ++l) {
-                const std::size_t k = grp.first + l;
-                const auto samples = src->sample(l, shots_, rngs[k]);
-                results[k] +=
-                    observable.group_energy_from_samples(samples, gi, shots_);
-              }
+  // execution per commuting group (basis-change suffix + Z sampling),
+  // each consuming the evaluation's stream in group order. The lane
+  // path iterates groups outer / lanes inner, so each lane's stream
+  // still sees its groups in the scalar order -- identical draws. All-Z
+  // groups have no suffix and sample the prepared state directly
+  // instead of paying an O(2^n) copy.
+  add_inferences(evals.size() * groups.size());
+  std::vector<Prng> rngs = eval_streams(evals);
+  prepare_lanes(
+      plan, evals, part, threads,
+      [&] {
+        return [&, bmeas = sim::BatchedStatevector(n, part.lanes)](
+                   sim::BatchedStatevector& bsv, LaneGroup grp) mutable {
+          const std::size_t end = grp.first + grp.real;
+          for (std::size_t k = grp.first; k < end; ++k)
+            results[k] = observable.constant();
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            // One suffix application per lane group (not per lane).
+            const sim::BatchedStatevector* src = &bsv;
+            if (!groups[g].suffix.empty()) {
+              bmeas = bsv;
+              observable.apply_suffix_lanes(bmeas, g);
+              src = &bmeas;
             }
+            for (std::size_t k = grp.first; k < end; ++k)
+              results[k] += observable.group_energy_from_samples(
+                  src->sample(k - grp.first, shots_, rngs[k]), g, shots_);
           }
-        },
-        threads);
-  }
-  parallel_for_chunked(
-      part.tail_start, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::Statevector sv(n);
-        sim::Statevector meas(n);  // per-group scratch, buffer reused
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-          sv.reset();
-          plan.apply(sv, angles);
+        };
+      },
+      [&] {
+        return [&, meas = sim::Statevector(n)](sim::Statevector& sv,
+                                               std::size_t k) mutable {
           double energy = observable.constant();
-          for (std::size_t g = 0; g < n_groups; ++g) {
-            // All-Z groups have no suffix: sample the prepared state
-            // directly instead of paying an O(2^n) copy.
+          for (std::size_t g = 0; g < groups.size(); ++g) {
             const sim::Statevector* src = &sv;
-            if (!observable.groups()[g].suffix.empty()) {
+            if (!groups[g].suffix.empty()) {
               meas = sv;
               observable.apply_suffix(meas, g);
               src = &meas;
             }
-            const auto samples = src->sample(shots_, rngs[k]);
-            energy += observable.group_energy_from_samples(samples, g, shots_);
+            energy += observable.group_energy_from_samples(
+                src->sample(shots_, rngs[k]), g, shots_);
           }
           results[k] = energy;
-        }
-      },
-      threads);
+        };
+      });
   return results;
 }
 
@@ -567,30 +506,16 @@ std::vector<double> DensityMatrixBackend::run_transpiled(
   return out;
 }
 
-std::vector<double> DensityMatrixBackend::execute(
-    const circuit::Circuit& c, std::span<const double> theta,
-    std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
-}
-
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
+  const auto routed = transpile_cache_.get(plan, device_);
   std::vector<std::vector<double>> results(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          results[k] = run_transpiled(t, plan.num_qubits());
-        }
-      },
-      threads);
+  for_each_transpiled(plan, *routed, evals, threads, [&] {
+    return [&](std::size_t k, const transpile::Transpiled& t) {
+      results[k] = run_transpiled(t, plan.num_qubits());
+    };
+  });
   return results;
 }
 
@@ -598,7 +523,7 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
+  const auto routed = transpile_cache_.get(plan, device_);
   const int n_logical = plan.num_qubits();
   const int n_phys = device_.n_qubits;
   const double scale = options_.noise_scale;
@@ -607,70 +532,59 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
   // then read from the final density matrix (deterministic oracle, so a
   // single execution is counted per evaluation).
   add_inferences(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::DensityMatrix meas(n_phys);  // per-group scratch, buffer reused
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          const sim::DensityMatrix rho = evolve_transpiled(t);
-
-          double energy = observable.constant();
-          for (std::size_t g = 0; g < observable.groups().size(); ++g) {
-            const auto& group = observable.groups()[g];
-            // Ideal basis-change suffix on the measured physical qubits;
-            // all-Z groups have none, so read rho directly instead of
-            // paying an O(4^n) copy.
-            const sim::DensityMatrix* src = &rho;
-            if (!group.suffix.empty()) {
-              meas = rho;
-              for (const auto& bc : group.suffix) {
-                const int phys =
-                    t.final_layout[static_cast<std::size_t>(bc.qubit)];
-                if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
-                meas.apply_unitary(sim::gate_h(), {phys});
-              }
-              src = &meas;
-            }
-            const auto probs = src->probabilities();
-            for (const auto& term : group.terms) {
-              // E[prod (-1)^{b'_q}] with independent classical readout
-              // flips: condition on each basis state and multiply the
-              // per-qubit flip-adjusted parities.
-              double acc = 0.0;
-              for (std::size_t s = 0; s < probs.size(); ++s) {
-                double f = probs[s];
-                for (int q = 0; q < n_logical; ++q) {
-                  if (!(term.z_mask &
-                        exec::CompiledObservable::qubit_bit(q, n_logical)))
-                    continue;
-                  const int phys =
-                      t.final_layout[static_cast<std::size_t>(q)];
-                  const int bit = static_cast<int>(
-                      (s >> (n_phys - 1 - phys)) & 1ULL);
-                  double z = bit ? -1.0 : 1.0;
-                  if (options_.enable_readout_error) {
-                    const auto& cal =
-                        device_.qubits[static_cast<std::size_t>(phys)];
-                    const double e01 = cal.readout_err_0to1 * scale;
-                    const double e10 = cal.readout_err_1to0 * scale;
-                    z = (1.0 - e01 - e10) * z + (e10 - e01);
-                  }
-                  f *= z;
-                }
-                acc += f;
-              }
-              energy += term.coeff * acc;
-            }
+  for_each_transpiled(plan, *routed, evals, threads, [&] {
+    return [&, meas = sim::DensityMatrix(n_phys)](
+               std::size_t k, const transpile::Transpiled& t) mutable {
+      const sim::DensityMatrix rho = evolve_transpiled(t);
+      double energy = observable.constant();
+      for (std::size_t g = 0; g < observable.groups().size(); ++g) {
+        const auto& group = observable.groups()[g];
+        // Ideal basis-change suffix on the measured physical qubits;
+        // all-Z groups have none, so read rho directly instead of
+        // paying an O(4^n) copy.
+        const sim::DensityMatrix* src = &rho;
+        if (!group.suffix.empty()) {
+          meas = rho;
+          for (const auto& bc : group.suffix) {
+            const int phys = t.final_layout[static_cast<std::size_t>(bc.qubit)];
+            if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
+            meas.apply_unitary(sim::gate_h(), {phys});
           }
-          results[k] = energy;
+          src = &meas;
         }
-      },
-      threads);
+        const auto probs = src->probabilities();
+        for (const auto& term : group.terms) {
+          // E[prod (-1)^{b'_q}] with independent classical readout
+          // flips: condition on each basis state and multiply the
+          // per-qubit flip-adjusted parities.
+          double acc = 0.0;
+          for (std::size_t s = 0; s < probs.size(); ++s) {
+            double f = probs[s];
+            for (int q = 0; q < n_logical; ++q) {
+              if (!(term.z_mask &
+                    exec::CompiledObservable::qubit_bit(q, n_logical)))
+                continue;
+              const int phys = t.final_layout[static_cast<std::size_t>(q)];
+              const int bit =
+                  static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
+              double z = bit ? -1.0 : 1.0;
+              if (options_.enable_readout_error) {
+                const auto& cal =
+                    device_.qubits[static_cast<std::size_t>(phys)];
+                const double e01 = cal.readout_err_0to1 * scale;
+                const double e10 = cal.readout_err_1to0 * scale;
+                z = (1.0 - e01 - e10) * z + (e10 - e01);
+              }
+              f *= z;
+            }
+            acc += f;
+          }
+          energy += term.coeff * acc;
+        }
+      }
+      results[k] = energy;
+    };
+  });
   return results;
 }
 
@@ -692,11 +606,23 @@ NoisyBackend::NoisyBackend(noise::DeviceModel device,
 
 namespace {
 
-/// Depolarizing error after a physical gate. For Pauli channels the branch
-/// weights are state-independent, so we sample Paulis directly instead of
-/// paying the generic Kraus-branch norm computation.
-void inject_depolarizing(sim::Statevector& sv, int q0, int q1, double p,
-                         Prng& rng) {
+/// One lane of a k-wide trajectory group behind the Pauli interface of
+/// a Statevector: the single-lane kernels are bit-identical on that lane
+/// and leave every other lane untouched.
+struct LaneView {
+  sim::BatchedStatevector& bsv;
+  std::size_t lane;
+  void apply_pauli_x(int q) { bsv.apply_pauli_x_lane(q, lane); }
+  void apply_pauli_y(int q) { bsv.apply_pauli_y_lane(q, lane); }
+  void apply_pauli_z(int q) { bsv.apply_pauli_z_lane(q, lane); }
+};
+
+/// Depolarizing error after a physical gate, on a Statevector or a
+/// LaneView. For Pauli channels the branch weights are state-independent,
+/// so we sample Paulis directly instead of paying the generic
+/// Kraus-branch norm computation.
+template <typename State>
+void inject_depolarizing(State&& sv, int q0, int q1, double p, Prng& rng) {
   if (p <= 0.0) return;
   if (q1 < 0) {
     // I with 1 - 3p/4, else X/Y/Z with p/4 each.
@@ -721,41 +647,6 @@ void inject_depolarizing(sim::Statevector& sv, int q0, int q1, double p,
       case 1: sv.apply_pauli_x(q); break;
       case 2: sv.apply_pauli_y(q); break;
       case 3: sv.apply_pauli_z(q); break;
-      default: break;
-    }
-  };
-  apply_pauli(pa, q0);
-  apply_pauli(pb, q1);
-}
-
-/// Depolarizing error on ONE lane of a k-wide trajectory group: the
-/// same draw and branch selection as inject_depolarizing, with the
-/// Paulis applied through the single-lane kernels (bit-identical on
-/// that lane, every other lane untouched).
-void inject_depolarizing_lane(sim::BatchedStatevector& bsv, std::size_t lane,
-                              int q0, int q1, double p, Prng& rng) {
-  if (p <= 0.0) return;
-  if (q1 < 0) {
-    const double u = rng.uniform();
-    if (u >= 0.75 * p) return;
-    const int which = static_cast<int>(u / (0.25 * p));
-    switch (which) {
-      case 0: bsv.apply_pauli_x_lane(q0, lane); break;
-      case 1: bsv.apply_pauli_y_lane(q0, lane); break;
-      default: bsv.apply_pauli_z_lane(q0, lane); break;
-    }
-    return;
-  }
-  const double u = rng.uniform();
-  if (u >= 15.0 / 16.0 * p) return;
-  const int idx = 1 + static_cast<int>(u / (p / 16.0));  // 1..15
-  const int pa = idx >> 2;
-  const int pb = idx & 3;
-  auto apply_pauli = [&bsv, lane](int pauli, int q) {
-    switch (pauli) {
-      case 1: bsv.apply_pauli_x_lane(q, lane); break;
-      case 2: bsv.apply_pauli_y_lane(q, lane); break;
-      case 3: bsv.apply_pauli_z_lane(q, lane); break;
       default: break;
     }
   };
@@ -837,7 +728,13 @@ struct TrajectoryProgram {
     }
   }
 
-  void apply(sim::Statevector& sv, const Op& op) const {
+  /// Apply one op to a Statevector, or to every lane of a k-wide
+  /// trajectory group: the transpiled gate stream is binding-independent,
+  /// so all trajectories share it, and per lane each uniform application
+  /// is bit-identical to the scalar one (the batched kernels' per-lane
+  /// contract).
+  template <typename State>
+  void apply(State& sv, const Op& op) const {
     switch (op.k) {
       case K::Rz:
         sv.apply_diag_1q(op.d0, op.d1, op.q0);
@@ -856,50 +753,37 @@ struct TrajectoryProgram {
         break;
     }
   }
-
-  /// Same op on every lane of a k-wide trajectory group. The transpiled
-  /// gate stream is binding-independent, so all trajectories share it;
-  /// per lane each uniform application is bit-identical to apply() on
-  /// that lane's state (the batched kernels' per-lane contract).
-  void apply_lanes(sim::BatchedStatevector& bsv, const Op& op) const {
-    switch (op.k) {
-      case K::Rz:
-        bsv.apply_diag_1q(op.d0, op.d1, op.q0);
-        break;
-      case K::Sx:
-        bsv.apply_1q(sx, op.q0);
-        break;
-      case K::X:
-        bsv.apply_pauli_x(op.q0);
-        break;
-      case K::Cx:
-        bsv.apply_cx(op.q0, op.q1);
-        break;
-      case K::Diag2q:
-        bsv.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
-        break;
-    }
-  }
 };
 
 }  // namespace
 
-/// Batch-invariant noise model tables: everything the trajectory loop
-/// consumes that depends only on (device, options). Built once per
-/// batched call -- per-evaluation construction was pure redundant work
-/// (identical channels every time).
+/// Batch-invariant trajectory configuration: the noise model tables and
+/// the trajectory loop's shape -- everything it consumes that depends
+/// only on (device, options). Built once per batched call --
+/// per-evaluation construction was pure redundant work (identical
+/// channels every time).
 struct NoisyBackend::NoiseTables {
+  int n_phys = 0;
+  int trajectories = 0;
+  int shots_per_traj = 0;  // total shots split across trajectories
+  int batch_lanes = -1;
   double p1 = 0.0, p2 = 0.0;
   bool relaxation = false;
+  bool fuse_gates = false;  // see TrajectoryProgram's fuse_cx_rz_cx
   std::vector<noise::KrausChannel> relax_1q, relax_2q;
   std::vector<noise::ReadoutError> readout;
 
   NoiseTables(const noise::DeviceModel& device,
-              const NoisyBackendOptions& options) {
+              const NoisyBackendOptions& options)
+      : n_phys(device.n_qubits),
+        trajectories(options.trajectories),
+        shots_per_traj(std::max(1, options.shots / options.trajectories)),
+        batch_lanes(options.batch_lanes) {
     const double scale = options.noise_scale;
     p1 = options.enable_gate_noise ? device.err_1q * scale : 0.0;
     p2 = options.enable_gate_noise ? device.err_2q * scale : 0.0;
     relaxation = options.enable_relaxation;
+    fuse_gates = options.fuse_trajectory_gates && gates_are_noiseless();
     if (options.enable_relaxation) {
       relax_1q.reserve(static_cast<std::size_t>(device.n_qubits));
       relax_2q.reserve(static_cast<std::size_t>(device.n_qubits));
@@ -969,7 +853,7 @@ struct NoisyBackend::NoiseTables {
                     sim::BatchedStatevector& bsv,
                     std::span<Prng* const> lane_rngs) const {
     for (const auto& op : program.ops) {
-      program.apply_lanes(bsv, op);
+      program.apply(bsv, op);
       // Virtual RZ: frame change only, no physical pulse, no error.
       if (op.k == TrajectoryProgram::K::Rz) continue;
       // Fused blocks only exist when gates_are_noiseless().
@@ -977,14 +861,15 @@ struct NoisyBackend::NoiseTables {
       if (op.q1 < 0) {
         for (std::size_t l = 0; l < lane_rngs.size(); ++l)
           if (lane_rngs[l] != nullptr)
-            inject_depolarizing_lane(bsv, l, op.q0, -1, p1, *lane_rngs[l]);
+            inject_depolarizing(LaneView{bsv, l}, op.q0, -1, p1, *lane_rngs[l]);
         if (relaxation)
           relax_1q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
               bsv, op.q0, lane_rngs);
       } else {
         for (std::size_t l = 0; l < lane_rngs.size(); ++l)
           if (lane_rngs[l] != nullptr)
-            inject_depolarizing_lane(bsv, l, op.q0, op.q1, p2, *lane_rngs[l]);
+            inject_depolarizing(LaneView{bsv, l}, op.q0, op.q1, p2,
+                                *lane_rngs[l]);
         if (relaxation) {
           relax_2q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
               bsv, op.q0, lane_rngs);
@@ -994,22 +879,74 @@ struct NoisyBackend::NoiseTables {
       }
     }
   }
+
+  /// Run every noise trajectory of one execution of `t` on the calling
+  /// thread, through the trajectory lane partition: k trajectories
+  /// evolve in lockstep per lane group (padding lanes of a part-filled
+  /// final group ride the gates, consume no randomness and are
+  /// discarded) and the rest one at a time. Streams are pre-split from
+  /// exec_rng in trajectory order -- the sequence a scalar loop splits
+  /// lazily -- so trajectory j consumes the same stream at every lane
+  /// width. make_group() returns step(bsv, rngs), called with the
+  /// streams of the group's real lanes; make_scalar() returns
+  /// step(sv, rng); see walk_lanes.
+  template <typename MakeGroupStep, typename MakeScalarStep>
+  void run_trajectories(const transpile::Transpiled& t, Prng exec_rng,
+                        const MakeGroupStep& make_group,
+                        const MakeScalarStep& make_scalar) const {
+    const TrajectoryProgram program(t, fuse_gates);
+    const auto n_traj = static_cast<std::size_t>(trajectories);
+    const sim::LanePartition part =
+        lane_partition(n_phys, n_traj, batch_lanes);
+    std::vector<Prng> rngs;
+    rngs.reserve(n_traj);
+    for (std::size_t j = 0; j < n_traj; ++j) rngs.push_back(exec_rng.split());
+    // One thread walks the partition, so the lane-stream table is shared.
+    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
+    walk_lanes(
+        part, n_traj, /*threads=*/1,
+        [&] {
+          return [&, step = make_group(),
+                  bsv = sim::BatchedStatevector(n_phys, part.lanes)](
+                     LaneGroup grp) mutable {
+            for (std::size_t l = 0; l < part.lanes; ++l)
+              lane_rngs[l] = l < grp.real ? &rngs[grp.first + l] : nullptr;
+            bsv.reset();
+            evolve_lanes(program, bsv,
+                         std::span<Prng* const>(lane_rngs.data(), part.lanes));
+            step(bsv, std::span<Prng>(rngs).subspan(grp.first, grp.real));
+          };
+        },
+        [&] {
+          return [&, step = make_scalar(),
+                  sv = sim::Statevector(n_phys)](std::size_t j) mutable {
+            sv.reset();
+            evolve(program, sv, rngs[j]);
+            step(sv, rngs[j]);
+          };
+        });
+  }
 };
+
+namespace {
+
+/// RNG serial of evaluation k of a batch whose auto serials start at
+/// `base`: auto evaluations take base + k (submission order); pinned
+/// ones use their stream id, so their draws do not depend on the batch.
+std::uint64_t execution_serial(const exec::Evaluation& e, std::uint64_t base,
+                               std::size_t k) {
+  return e.rng_stream == exec::Evaluation::kAutoStream ? base + k
+                                                       : e.rng_stream;
+}
+
+}  // namespace
 
 std::vector<double> NoisyBackend::run_transpiled(
     const transpile::Transpiled& t, const NoiseTables& tables, int n_logical,
     std::uint64_t serial) const {
   const int n_phys = device_.n_qubits;
-  const TrajectoryProgram program(
-      t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-
-  const int n_traj = options_.trajectories;
-  const int shots_per_traj = std::max(1, options_.shots / n_traj);
-
-  Prng exec_rng = execution_rng(serial);
-
+  const int shots = tables.shots_per_traj;
   std::vector<double> acc(static_cast<std::size_t>(n_logical), 0.0);
-  std::uint64_t total_samples = 0;
 
   // Readout: sample bitstrings from a final trajectory state and apply
   // per-qubit classical flip errors. Shared verbatim by the scalar loop
@@ -1026,61 +963,25 @@ std::vector<double> NoisyBackend::run_transpiled(
           bit = tables.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
         acc[static_cast<std::size_t>(l)] += bit ? -1.0 : 1.0;
       }
-      ++total_samples;
     }
   };
 
-  // Evaluation-major trajectory partition: k trajectories evolve in
-  // lockstep on one lane group, a part-filled final group is padded
-  // (padding lanes ride the gates, consume no randomness and are
-  // discarded), and any un-compacted remainder runs the scalar loop.
-  const sim::LanePartition part = sim::partition_lanes(
-      n_phys, static_cast<std::size_t>(n_traj), options_.batch_lanes);
-  note_lane_metrics(part, static_cast<std::size_t>(n_traj));
+  tables.run_trajectories(
+      t, execution_rng(serial),
+      [&] {
+        return [&](sim::BatchedStatevector& bsv, std::span<Prng> rngs) {
+          for (std::size_t l = 0; l < rngs.size(); ++l)
+            accumulate(bsv.sample(l, shots, rngs[l]), rngs[l]);
+        };
+      },
+      [&] {
+        return [&](sim::Statevector& sv, Prng& rng) {
+          accumulate(sv.sample(shots, rng), rng);
+        };
+      });
 
-  if (part.lanes > 1) {
-    // Pre-split one stream per trajectory in trajectory order -- the
-    // exact split sequence the scalar loop draws lazily, so trajectory
-    // j consumes the same stream at every lane width.
-    std::vector<Prng> traj_rngs;
-    traj_rngs.reserve(static_cast<std::size_t>(n_traj));
-    for (int traj = 0; traj < n_traj; ++traj)
-      traj_rngs.push_back(exec_rng.split());
-
-    sim::BatchedStatevector bsv(n_phys, part.lanes);
-    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-    for (std::size_t g = 0; g < part.groups(); ++g) {
-      const std::size_t first = g * part.lanes;
-      const std::size_t real =
-          g < part.full_groups ? part.lanes : part.padded_evals;
-      for (std::size_t l = 0; l < part.lanes; ++l)
-        lane_rngs[l] = l < real ? &traj_rngs[first + l] : nullptr;
-      bsv.reset();
-      tables.evolve_lanes(
-          program, bsv, std::span<Prng* const>(lane_rngs.data(), part.lanes));
-      for (std::size_t l = 0; l < real; ++l) {
-        Prng& rng = traj_rngs[first + l];
-        accumulate(bsv.sample(l, shots_per_traj, rng), rng);
-      }
-    }
-    sim::Statevector sv(n_phys);
-    for (std::size_t traj = part.tail_start;
-         traj < static_cast<std::size_t>(n_traj); ++traj) {
-      Prng& rng = traj_rngs[traj];
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      accumulate(sv.sample(shots_per_traj, rng), rng);
-    }
-  } else {
-    sim::Statevector sv(n_phys);
-    for (int traj = 0; traj < n_traj; ++traj) {
-      Prng rng = exec_rng.split();
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      accumulate(sv.sample(shots_per_traj, rng), rng);
-    }
-  }
-
+  const auto total_samples =
+      static_cast<std::uint64_t>(shots) * tables.trajectories;
   for (auto& v : acc) v /= static_cast<double>(total_samples);
   return acc;
 }
@@ -1093,20 +994,13 @@ double NoisyBackend::expect_transpiled(
   // sampling with classical readout flips on the measured qubits.
   const int n_logical = observable.num_qubits();
   const int n_phys = device_.n_qubits;
-  const TrajectoryProgram program(
-      t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-
-  const int n_traj = options_.trajectories;
-  const int shots_per_traj = std::max(1, options_.shots / n_traj);
-
-  Prng exec_rng = execution_rng(serial);
+  const int shots = tables.shots_per_traj;
 
   const auto& groups = observable.groups();
   // parity_sum[g][i]: summed parities of group g's i-th term.
   std::vector<std::vector<double>> parity_sum(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g)
     parity_sum[g].assign(groups[g].terms.size(), 0.0);
-  std::uint64_t total_samples = 0;
 
   // Parity accumulation for one measured group's samples. Shared by the
   // scalar trajectory loop and every lane of the k-wide path; lanes are
@@ -1137,88 +1031,46 @@ double NoisyBackend::expect_transpiled(
     }
   };
 
-  // Same evaluation-major trajectory partition as run_transpiled.
-  const sim::LanePartition part = sim::partition_lanes(
-      n_phys, static_cast<std::size_t>(n_traj), options_.batch_lanes);
-  note_lane_metrics(part, static_cast<std::size_t>(n_traj));
+  // Each trajectory's stream sees evolve draws, then group 0 sampling +
+  // flips, then group 1, ... at every lane width. All-Z groups have no
+  // suffix and sample the trajectory state directly instead of paying
+  // an O(2^n) copy.
+  tables.run_trajectories(
+      t, execution_rng(serial),
+      [&] {
+        return [&, bmeas = std::optional<sim::BatchedStatevector>()](
+                   sim::BatchedStatevector& bsv,
+                   std::span<Prng> rngs) mutable {
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            // One suffix application per lane group (not per lane).
+            const sim::BatchedStatevector* src = &bsv;
+            if (!groups[g].suffix.empty()) {
+              bmeas = bsv;
+              observable.apply_suffix_lanes(*bmeas, g, t.final_layout);
+              src = &*bmeas;
+            }
+            for (std::size_t l = 0; l < rngs.size(); ++l)
+              accumulate_group(g, src->sample(l, shots, rngs[l]), rngs[l]);
+          }
+        };
+      },
+      [&] {
+        return [&, meas = sim::Statevector(n_phys)](sim::Statevector& sv,
+                                                    Prng& rng) mutable {
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            const sim::Statevector* src = &sv;
+            if (!groups[g].suffix.empty()) {
+              meas = sv;
+              observable.apply_suffix(meas, g, t.final_layout);
+              src = &meas;
+            }
+            accumulate_group(g, src->sample(shots, rng), rng);
+          }
+        };
+      });
 
-  if (part.lanes > 1) {
-    std::vector<Prng> traj_rngs;
-    traj_rngs.reserve(static_cast<std::size_t>(n_traj));
-    for (int traj = 0; traj < n_traj; ++traj)
-      traj_rngs.push_back(exec_rng.split());
-
-    sim::BatchedStatevector bsv(n_phys, part.lanes);
-    sim::BatchedStatevector bmeas(n_phys, part.lanes);  // suffix scratch
-    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-    for (std::size_t lg = 0; lg < part.groups(); ++lg) {
-      const std::size_t first = lg * part.lanes;
-      const std::size_t real =
-          lg < part.full_groups ? part.lanes : part.padded_evals;
-      for (std::size_t l = 0; l < part.lanes; ++l)
-        lane_rngs[l] = l < real ? &traj_rngs[first + l] : nullptr;
-      bsv.reset();
-      tables.evolve_lanes(
-          program, bsv, std::span<Prng* const>(lane_rngs.data(), part.lanes));
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        // One suffix application per lane group per commuting group
-        // (not per lane); all-Z groups skip the copy. Each lane's
-        // stream still sees its groups in scalar order: evolve draws,
-        // then group 0 sampling + flips, then group 1, ...
-        const sim::BatchedStatevector* src = &bsv;
-        if (!groups[g].suffix.empty()) {
-          bmeas = bsv;
-          observable.apply_suffix_lanes(bmeas, g, t.final_layout);
-          src = &bmeas;
-        }
-        for (std::size_t l = 0; l < real; ++l) {
-          Prng& rng = traj_rngs[first + l];
-          accumulate_group(g, src->sample(l, shots_per_traj, rng), rng);
-        }
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj) * real;
-    }
-    sim::Statevector sv(n_phys);
-    sim::Statevector meas(n_phys);  // per-group scratch, buffer reused
-    for (std::size_t traj = part.tail_start;
-         traj < static_cast<std::size_t>(n_traj); ++traj) {
-      Prng& rng = traj_rngs[traj];
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const sim::Statevector* src = &sv;
-        if (!groups[g].suffix.empty()) {
-          meas = sv;
-          observable.apply_suffix(meas, g, t.final_layout);
-          src = &meas;
-        }
-        accumulate_group(g, src->sample(shots_per_traj, rng), rng);
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj);
-    }
-  } else {
-    sim::Statevector sv(n_phys);
-    sim::Statevector meas(n_phys);  // per-group scratch, buffer reused
-    for (int traj = 0; traj < n_traj; ++traj) {
-      Prng rng = exec_rng.split();
-      sv.reset();
-      tables.evolve(program, sv, rng);
-
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        // All-Z groups have no suffix: sample the trajectory state
-        // directly instead of paying an O(2^n) copy.
-        const sim::Statevector* src = &sv;
-        if (!groups[g].suffix.empty()) {
-          meas = sv;
-          observable.apply_suffix(meas, g, t.final_layout);
-          src = &meas;
-        }
-        accumulate_group(g, src->sample(shots_per_traj, rng), rng);
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj);
-    }
-  }
-
+  const auto total_samples =
+      static_cast<std::uint64_t>(shots) * tables.trajectories;
   double energy = observable.constant();
   for (std::size_t g = 0; g < groups.size(); ++g)
     for (std::size_t i = 0; i < groups[g].terms.size(); ++i)
@@ -1227,40 +1079,23 @@ double NoisyBackend::expect_transpiled(
   return energy;
 }
 
-std::vector<double> NoisyBackend::execute(const circuit::Circuit& c,
-                                          std::span<const double> theta,
-                                          std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
-}
-
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
+  const auto routed = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
   // Auto evaluations draw serials from the internal counter in
-  // submission order; evaluations that pinned Evaluation::rng_stream use
-  // the pinned id as their serial instead (the counter still advances by
-  // the full batch so auto serials stay position-stable).
+  // submission order; the counter advances by the full batch so auto
+  // serials stay position-stable whatever the batch pins.
   const std::uint64_t base =
       run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
   std::vector<std::vector<double>> results(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          const std::uint64_t serial =
-              e.rng_stream == exec::Evaluation::kAutoStream ? base + k
-                                                            : e.rng_stream;
-          results[k] = run_transpiled(t, tables, plan.num_qubits(), serial);
-        }
-      },
-      threads);
+  for_each_transpiled(plan, *routed, evals, threads, [&] {
+    return [&](std::size_t k, const transpile::Transpiled& t) {
+      results[k] = run_transpiled(t, tables, plan.num_qubits(),
+                                  execution_serial(evals[k], base, k));
+    };
+  });
   return results;
 }
 
@@ -1268,32 +1103,21 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
+  const auto routed = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
-  // One RNG serial per evaluation, allocated in submission order; each
-  // evaluation's groups then consume that stream sequentially inside
-  // expect_transpiled, so results are deterministic and thread-count
-  // invariant.
+  // Same serials as execute_batch; each evaluation's groups then
+  // consume its stream sequentially inside expect_transpiled, so results
+  // are deterministic and thread-count invariant.
   const std::uint64_t base =
       run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
   add_inferences(evals.size() * observable.groups().size());
   std::vector<double> results(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          const std::uint64_t serial =
-              e.rng_stream == exec::Evaluation::kAutoStream ? base + k
-                                                            : e.rng_stream;
-          results[k] = expect_transpiled(t, tables, observable, serial);
-        }
-      },
-      threads);
+  for_each_transpiled(plan, *routed, evals, threads, [&] {
+    return [&](std::size_t k, const transpile::Transpiled& t) {
+      results[k] = expect_transpiled(t, tables, observable,
+                                     execution_serial(evals[k], base, k));
+    };
+  });
   return results;
 }
 

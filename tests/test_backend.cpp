@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -506,11 +507,12 @@ TEST(ExpectBatch, BackendsWithoutNativeStateAccessReject) {
     std::string name() const override { return "minimal"; }
 
    protected:
-    std::vector<double> execute(const qoc::circuit::Circuit& c,
-                                std::span<const double>,
-                                std::span<const double>) override {
-      return std::vector<double>(static_cast<std::size_t>(c.num_qubits()),
-                                 0.0);
+    std::vector<std::vector<double>> execute_batch(
+        const qoc::exec::CompiledCircuit& plan,
+        std::span<const qoc::exec::Evaluation> evals, unsigned) override {
+      return std::vector<std::vector<double>>(
+          evals.size(),
+          std::vector<double>(static_cast<std::size_t>(plan.num_qubits())));
     }
   };
   const auto h = qoc::vqe::Hamiltonian::h2_minimal();
@@ -519,6 +521,231 @@ TEST(ExpectBatch, BackendsWithoutNativeStateAccessReject) {
   const auto plan = qoc::exec::CompiledCircuit::compile(ansatz);
   MinimalBackend qc;
   EXPECT_THROW(qc.expect_batch(plan, obs, {}, 1), std::logic_error);
+}
+
+
+// ---- golden outputs ----------------------------------------------------------
+
+// Fixed-seed outputs of every batched execution path, pinned as exact
+// literals. The lane-width parity tests above compare one path of the
+// backend against another, so a drift that hits both sides would pass
+// them; these values do not move unless the numerics do.
+qoc::exec::CompiledObservable golden_observable() {
+  const std::vector<qoc::exec::ObservableTerm> terms = {
+      {"III", 0.25}, {"ZZI", 0.7}, {"XXI", -0.4}, {"IYY", 0.3}, {"ZIZ", 0.55}};
+  return qoc::exec::CompiledObservable::compile(3, terms);
+}
+
+struct GoldenBatch {
+  Circuit circuit{3};
+  qoc::exec::CompiledObservable observable;
+  std::vector<std::vector<double>> thetas, inputs;
+  std::vector<qoc::exec::Evaluation> evals;
+
+  /// `n` evaluations of a 3-qubit encoder + RZZ ring + RY circuit; every
+  /// third one shifts a trainable op, and with `pin` every third one
+  /// (offset by one) pins its RNG stream.
+  GoldenBatch(int n, bool pin)
+      : observable(golden_observable()) {
+    for (int q = 0; q < 3; ++q) circuit.ry(q, ParamRef::input(q));
+    qoc::circuit::add_rzz_ring_layer(circuit);
+    qoc::circuit::add_ry_layer(circuit);
+    for (int i = 0; i < n; ++i) {
+      std::vector<double> t(static_cast<std::size_t>(circuit.num_trainable()));
+      for (std::size_t j = 0; j < t.size(); ++j)
+        t[j] = 0.17 * (i + 1) - 0.11 * static_cast<double>(j);
+      thetas.push_back(std::move(t));
+      inputs.push_back({0.3 - 0.05 * i, 0.8 + 0.02 * i, -0.4 + 0.07 * i});
+    }
+    for (int i = 0; i < n; ++i) {
+      qoc::exec::Evaluation e;
+      e.theta = thetas[static_cast<std::size_t>(i)];
+      e.input = inputs[static_cast<std::size_t>(i)];
+      if (i % 3 == 0) {
+        e.shift_op = 3 + static_cast<std::size_t>(i % 6);
+        e.shift = (i % 2 == 0 ? 0.5 : -0.5) * kPi;
+      }
+      if (pin && i % 3 == 1) e.rng_stream = 1000u + static_cast<std::uint64_t>(i);
+      evals.push_back(e);
+    }
+  }
+
+  qoc::exec::CompiledCircuit plan() const {
+    return qoc::exec::CompiledCircuit::compile(circuit);
+  }
+};
+
+std::vector<double> flatten(const std::vector<std::vector<double>>& rows) {
+  std::vector<double> out;
+  for (const auto& r : rows) out.insert(out.end(), r.begin(), r.end());
+  return out;
+}
+
+void expect_golden(const std::vector<double>& got,
+                   const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << what << " [" << i << "]";
+}
+
+// Values printed with %a from the code these tests guard.
+// sv exact run
+const std::vector<double> kSvExactRun = {
+    0x1.df92d2a31fdc6p-1, 0x1.4226c25ee8086p-1, 0x1.6c10c7bc80a4ap-1,
+    0x1.eee7c8b6ffcc9p-1, 0x1.7b40bcf41776bp-1, 0x1.b8ec77f36fcafp-1,
+    0x1.e018da7d5d54dp-1, 0x1.44450ce9a8f95p-1, 0x1.ea22369268295p-1,
+    0x1.a5a1664a34e09p-2, 0x1.267b781c01edbp-1, 0x1.fa10088b40d71p-1,
+    0x1.b3ab9b3fdc2adp-1, 0x1.2d3c976ea657bp-1, 0x1.ebdc794008bddp-1,
+    0x1.8aa064229efd1p-1, 0x1.571c35c3e2e6fp-1, 0x1.c8cb099f722c1p-1,
+    0x1.4e0c48a8e637cp-1, 0x1.b772dbdfe72c6p-1, 0x1.9ba81f2fbd562p-1,
+    0x1.fb7333337f337p-2, 0x1.d0e2e700cb0a4p-1, 0x1.6c22860566372p-1,
+    0x1.3e1f499b72adap-2, 0x1.ee5f13e9aa00fp-1, 0x1.3bdb3435ba385p-1,
+    0x1.f86e6596b05b7p-1, 0x1.d8a6ce99b1181p-1, 0x1.0640399a18af3p-1,
+    -0x1.0158eaa9c2b54p-4, 0x1.86030c567ec56p-1, 0x1.86669e0c840d9p-2,
+    -0x1.af034d3cf7dbcp-3, 0x1.f799aa0381434p-2, 0x1.adb71faaf7f7bp-3,
+    -0x1.0727f56dd4002p-3, -0x1.a34d998aa9987p-1, -0x1.89c4fd699d0cp-8,
+    -0x1.8a78e69913082p-2, -0x1.9ff91ece92541p-3, -0x1.04aeeeb60b458p-2,
+    -0x1.b75d59633eb5ep-2, -0x1.061f4211e3db3p-1, -0x1.048250b8ce029p-1,
+    0x1.a35742a89840dp-1, -0x1.741b5446dd6c3p-1, -0x1.76e02ce1aea38p-1,
+    -0x1.0818e8b717536p-1, -0x1.a4fda774f428ap-1, -0x1.c6f14581dacc6p-1,
+    -0x1.2ae881cc7eeeap-1, -0x1.9a05980519b72p-1, -0x1.e7d232bed541ep-1,
+    -0x1.9dff8f1dc7b02p-1, -0x1.671cc4dadcdaap-2, -0x1.d6346c37ea448p-1,
+};
+
+// sv exact expect
+const std::vector<double> kSvExactExpect = {
+    0x1.df313730b0e56p-1, 0x1.23e82542e55c6p+0, 0x1.10b43bf563731p+0,
+    0x1.784697b1b0bd8p-1, 0x1.fbff35e6e5084p-1, 0x1.edf1eb3059651p-1,
+    0x1.e2382039df1a4p-1, 0x1.800a9126a447fp-1, 0x1.17a6029c3f021p-1,
+    0x1.324bb04c5869cp+0, 0x1.1a652f167acaep-3, 0x1.7b1b3e03cbdf2p-5,
+    0x1.ef3cadde54d5ep-4, 0x1.c05ce83c09e5ep-3, 0x1.c3931b25446f6p-2,
+    -0x1.0e820da15bf85p-1, 0x1.d204c0ee03606p-1, 0x1.0fc77b83ccb5bp+0,
+    0x1.ec225f06ecd24p-1,
+};
+
+// sv sampled run
+const std::vector<double> kSvSampledRun = {
+    0x1.d4p-1, 0x1.e8p-2, 0x1.68p-1,
+    0x1.fp-1, 0x1.5cp-1, 0x1.ccp-1,
+    0x1.d8p-1, 0x1.1cp-1, 0x1.e4p-1,
+    0x1.c8p-2, 0x1.24p-1, 0x1.fcp-1,
+    0x1.bcp-1, 0x1.3p-1, 0x1.f8p-1,
+    0x1.88p-1, 0x1.58p-1, 0x1.cp-1,
+    0x1.6p-1, 0x1.8p-1, 0x1.a4p-1,
+    0x1.b8p-2, 0x1.dp-1, 0x1.6p-1,
+    0x1.58p-2, 0x1.ecp-1, 0x1.38p-1,
+    0x1.fp-1, 0x1.c8p-1, 0x1.e8p-2,
+    -0x1p-5, 0x1.68p-1, 0x1.98p-2,
+    -0x1.2p-2, 0x1p-1, 0x1.1p-2,
+    -0x1.9p-3, -0x1.bp-1, -0x1.ap-4,
+    -0x1.7p-2, -0x1.8p-3, -0x1.fp-3,
+    -0x1.3p-2, -0x1.0cp-1, -0x1.1p-1,
+    0x1.cp-1, -0x1.7cp-1, -0x1.7p-1,
+    -0x1.0cp-1, -0x1.98p-1, -0x1.acp-1,
+    -0x1.2p-1, -0x1.9cp-1, -0x1.ecp-1,
+    -0x1.a8p-1, -0x1.58p-2, -0x1.dp-1,
+};
+
+// sv sampled expect
+const std::vector<double> kSvSampledExpect = {
+    0x1.dc99999999999p-1, 0x1.2a8p+0, 0x1.15cccccccccccp+0,
+    0x1.4d66666666666p-1, 0x1.0d7ffffffffffp+0, 0x1.f8ccccccccccep-1,
+    0x1.b733333333333p-1, 0x1.3bp-1, 0x1.5e66666666666p-1,
+    0x1.1fb3333333333p+0, 0x1.2bffffffffffep-3, 0x1.0666666666665p-4,
+    0x1.6cccccccccccp-6, 0x1.c0cccccccccccp-3, 0x1.2733333333333p-2,
+    -0x1.0d9999999999ap-1, 0x1.c4ccccccccccdp-1, 0x1.0c9999999999ap+0,
+    0x1.f6cccccccccccp-1,
+};
+
+// noisy run, 12 trajectories
+const std::vector<double> kNoisyRun12 = {
+    0x1.92aaaaaaaaaabp-1, 0x1.4d55555555555p-1, 0x1.4aaaaaaaaaaabp-1,
+    0x1.d555555555555p-1, 0x1.1d55555555555p-1, 0x1.72aaaaaaaaaabp-1,
+    0x1.dp-1, 0x1.e555555555555p-2, 0x1.8d55555555555p-1,
+};
+
+// noisy expect, 12 trajectories
+const std::vector<double> kNoisyExpect12 = {
+    0x1.d533333333334p-1, 0x1.db55555555554p-1, 0x1.fe66666666665p-1,
+};
+
+// noisy run, 9 trajectories
+const std::vector<double> kNoisyRun9 = {
+    0x1.7321dcc877322p-1, 0x1.3cf3cf3cf3cf4p-1, 0x1.4a7f529fd4a7fp-1,
+    0x1.e233788cde233p-1, 0x1.015ac056b015bp-1, 0x1.5d75d75d75d76p-1,
+    0x1.c9d1f2747c9d2p-1, 0x1.29fd4a7f529fdp-1, 0x1.d75d75d75d75dp-1,
+};
+
+// noisy expect, 9 trajectories
+const std::vector<double> kNoisyExpect9 = {
+    0x1.e0935e8b3e093p-1, 0x1.c3b990ee643bap-1, 0x1.0854854854855p+0,
+};
+
+// density run
+const std::vector<double> kDensityRun = {
+    0x1.c176a05ef79eap-1, 0x1.2cb821909605p-1, 0x1.524a0ae5cd9b1p-1,
+    0x1.cf937216d46bcp-1, 0x1.5e72cc157e417p-1, 0x1.95e939cb63674p-1,
+    0x1.c21e9630ad4f4p-1, 0x1.2ec747d4d90e5p-1, 0x1.c112c26306e9ap-1,
+};
+
+// density expect
+const std::vector<double> kDensityExpect = {
+    0x1.bcde9aa63ce01p-1, 0x1.088ab6c9288f1p+0, 0x1.f15a84e029b4bp-1,
+};
+
+TEST(Backend, GoldenOutputs) {
+  // Statevector: a ragged batch of 19 -- at width 8, two full lane groups
+  // plus a scalar tail of 3; at width 4, four full groups plus a padded
+  // group -- must give the same values at every width.
+  const GoldenBatch sv_batch(19, /*pin=*/true);
+  const auto sv_plan = sv_batch.plan();
+  for (const int lanes : {-1, 4, 1}) {
+    const std::string tag = "lanes=" + std::to_string(lanes);
+    StatevectorBackend exact(StatevectorBackendOptions{0, 7, lanes});
+    expect_golden(flatten(exact.run_batch(sv_plan, sv_batch.evals, 2)),
+                  kSvExactRun, "sv exact run " + tag);
+    expect_golden(
+        exact.expect_batch(sv_plan, sv_batch.observable, sv_batch.evals, 2),
+        kSvExactExpect, "sv exact expect " + tag);
+    // Sampled: auto evaluations split from the backend's generator in
+    // submission order, across the run and then the expect call.
+    StatevectorBackend sampled(StatevectorBackendOptions{256, 7, lanes});
+    expect_golden(flatten(sampled.run_batch(sv_plan, sv_batch.evals, 2)),
+                  kSvSampledRun, "sv sampled run " + tag);
+    expect_golden(
+        sampled.expect_batch(sv_plan, sv_batch.observable, sv_batch.evals, 2),
+        kSvSampledExpect, "sv sampled expect " + tag);
+  }
+
+  // Noisy trajectories: 12 = a full lane group + a padded group, 9 = a
+  // full group + a scalar trajectory, both also run fully scalar.
+  const GoldenBatch noisy_batch(3, /*pin=*/true);
+  const auto noisy_plan = noisy_batch.plan();
+  for (const int traj : {12, 9}) {
+    for (const int lanes : {1, 8}) {
+      const std::string tag =
+          "traj=" + std::to_string(traj) + " lanes=" + std::to_string(lanes);
+      NoisyBackendOptions opt;
+      opt.trajectories = traj;
+      opt.shots = 384;
+      opt.seed = 0xFEEDFACEULL;
+      opt.batch_lanes = lanes;
+      NoisyBackend noisy(DeviceModel::ibmq_manila(), opt);
+      expect_golden(flatten(noisy.run_batch(noisy_plan, noisy_batch.evals, 2)),
+                    traj == 12 ? kNoisyRun12 : kNoisyRun9, "noisy run " + tag);
+      expect_golden(noisy.expect_batch(noisy_plan, noisy_batch.observable,
+                                       noisy_batch.evals, 2),
+                    traj == 12 ? kNoisyExpect12 : kNoisyExpect9,
+                    "noisy expect " + tag);
+    }
+  }
+
+  DensityMatrixBackend dm(DeviceModel::ibmq_manila());
+  expect_golden(flatten(dm.run_batch(noisy_plan, noisy_batch.evals, 2)),
+                kDensityRun, "density run");
+  expect_golden(dm.expect_batch(noisy_plan, noisy_batch.observable,
+                                noisy_batch.evals, 2),
+                kDensityExpect, "density expect");
 }
 
 }  // namespace

@@ -172,6 +172,28 @@ TEST(BatchLanePolicy, OptionsPin) {
 
 TEST(BatchLanePolicy, PartitionLanes) {
   using qoc::sim::partition_lanes;
+  // Per-group view: group g starts at g * lanes, full groups hold
+  // `lanes` real evaluations and the padded group padded_evals, and the
+  // groups tile [0, tail_start) exactly once.
+  auto check_groups = [](const qoc::sim::LanePartition& p, std::size_t batch) {
+    std::vector<int> covered(batch, 0);
+    std::size_t real_sum = 0;
+    for (std::size_t g = 0; g < p.groups(); ++g) {
+      const auto grp = p.group(g);
+      EXPECT_EQ(grp.first, g * p.lanes) << "batch=" << batch << " g=" << g;
+      EXPECT_EQ(grp.real, g < p.full_groups ? p.lanes : p.padded_evals)
+          << "batch=" << batch << " g=" << g;
+      EXPECT_GE(grp.real, 1u);
+      EXPECT_LE(grp.real, p.lanes);
+      for (std::size_t k = grp.first; k < grp.first + grp.real; ++k)
+        ++covered[k];
+      real_sum += grp.real;
+    }
+    EXPECT_EQ(real_sum, p.tail_start) << "batch=" << batch;
+    for (std::size_t k = 0; k < batch; ++k)
+      EXPECT_EQ(covered[k], k < p.tail_start ? 1 : 0)
+          << "batch=" << batch << " k=" << k;
+  };
   // 260 @ 8: 32 full groups + a 4-eval tail compacted into one padded
   // group (exactly half full) -> 33 groups, nothing scalar.
   auto p = partition_lanes(10, 260, 8);
@@ -180,6 +202,7 @@ TEST(BatchLanePolicy, PartitionLanes) {
   EXPECT_EQ(p.padded_evals, 4u);
   EXPECT_EQ(p.groups(), 33u);
   EXPECT_EQ(p.tail_start, 260u);
+  check_groups(p, 260);
 
   // 9 @ 8: a 1-eval tail is below half -> scalar tail, no padded group.
   p = partition_lanes(10, 9, 8);
@@ -187,6 +210,7 @@ TEST(BatchLanePolicy, PartitionLanes) {
   EXPECT_EQ(p.padded_evals, 0u);
   EXPECT_EQ(p.groups(), 1u);
   EXPECT_EQ(p.tail_start, 8u);
+  check_groups(p, 9);
 
   // 5 @ 8: no full group, but the batch fills >= half the lanes ->
   // one padded group covers everything.
@@ -196,17 +220,30 @@ TEST(BatchLanePolicy, PartitionLanes) {
   EXPECT_EQ(p.padded_evals, 5u);
   EXPECT_EQ(p.groups(), 1u);
   EXPECT_EQ(p.tail_start, 5u);
+  check_groups(p, 5);
 
   // 3 @ 8: below half -> batch_lane_width degrades to scalar outright.
   p = partition_lanes(10, 3, 8);
   EXPECT_EQ(p.lanes, 1u);
   EXPECT_EQ(p.groups(), 0u);
   EXPECT_EQ(p.tail_start, 0u);
+  check_groups(p, 3);
 
   // Beyond the static rule's range everything is scalar.
   p = partition_lanes(qoc::sim::kBatchedLaneMaxQubits + 1, 64);
   EXPECT_EQ(p.lanes, 1u);
   EXPECT_EQ(p.tail_start, 0u);
+  check_groups(p, 64);
+
+  // The per-group view over the ragged sizes above and more: full
+  // batches, padded tails, scalar tails and all-scalar batches, at
+  // several widths.
+  for (const std::size_t lanes : {2u, 4u, 8u, 16u})
+    for (const std::size_t batch :
+         {1u, 3u, 5u, 8u, 9u, 12u, 16u, 19u, 33u, 260u}) {
+      p = partition_lanes(10, batch, static_cast<int>(lanes));
+      check_groups(p, batch);
+    }
 }
 
 TEST(BatchLanePolicy, EnvOverrideWinsOverEverything) {

@@ -98,11 +98,6 @@ class GateBackend final : public backend::Backend {
   }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override {
-    return inner_.run(c, theta, input);
-  }
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override {
@@ -135,11 +130,6 @@ class FailingStructureBackend final : public backend::Backend {
   bool deterministic() const override { return true; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override {
-    return inner_.run(c, theta, input);
-  }
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override {
