@@ -242,8 +242,7 @@ struct StatevectorBackendOptions {
   /// Evaluation-major (k-wide) lane policy for the batch paths:
   /// -1 defers to the cost model (default), 0 or 1 forces the scalar
   /// per-evaluation path (kill switch), >= 2 pins the lane width
-  /// (clamped even, <= 32). The QOC_BATCH_LANES environment variable
-  /// overrides this knob; see sim::batch_lane_width.
+  /// (clamped even, <= 32); see sim::batch_lane_width.
   int batch_lanes = -1;
 };
 
@@ -327,8 +326,7 @@ struct NoisyBackendOptions {
   /// draws from each trajectory's own pinned stream). Same semantics as
   /// StatevectorBackendOptions::batch_lanes: -1 defers to the cost
   /// model, 0 or 1 forces the scalar trajectory loop, >= 2 pins the
-  /// width; QOC_BATCH_LANES overrides. Per-trajectory results are
-  /// bit-identical at every width.
+  /// width. Per-trajectory results are bit-identical at every width.
   int batch_lanes = -1;
 };
 

@@ -1,13 +1,12 @@
 #pragma once
 // Validated environment-variable parsing.
 //
-// Every numeric qoc env knob (QOC_THREADS, QOC_BATCH_LANES) must reject
+// Every numeric qoc env knob (today only QOC_THREADS) must reject
 // garbage identically: a mistyped deployment value must never size a
-// thread pool with billions of workers or pick a nonsense lane width.
-// The knob-specific parsers (parse_thread_count, parse_batch_lanes)
-// layer their own range/shape rules on top of this one shared helper,
-// so "what counts as a number" is defined -- and tested -- exactly once
-// (tests/test_parallel.cpp and tests/test_batch_kernels.cpp).
+// thread pool with billions of workers. A knob-specific parser
+// (parse_thread_count) layers its own range rule on top of this one
+// shared helper, so "what counts as a number" is defined -- and tested
+// -- exactly once (tests/test_parallel.cpp).
 
 #include <cstddef>
 
@@ -19,8 +18,8 @@ namespace qoc::common {
 /// junk all count as garbage), is zero, or exceeds `max_value`
 /// (including values that would overflow any integer width: the
 /// accumulator saturates instead of wrapping). `max_value` is the
-/// knob's own absurdity bound, not a parsing concern -- callers pass
-/// e.g. 4096 for thread counts, 32 for lane widths.
+/// knob's own absurdity bound, not a parsing concern -- e.g. 4096 for
+/// thread counts.
 inline unsigned long parse_env_uint(const char* s,
                                     unsigned long max_value) noexcept {
   if (s == nullptr || *s == '\0') return 0;

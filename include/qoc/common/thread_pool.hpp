@@ -52,10 +52,9 @@ namespace qoc {
 /// whitespace and trailing junk are garbage), non-positive or absurd
 /// (> 4096, including any overflowing value), i.e. no override: a
 /// garbage QOC_THREADS must never size a pool with billions of workers.
-/// Validation lives in common::parse_env_uint, shared with the
-/// QOC_BATCH_LANES knob (sim::parse_batch_lanes) so every numeric env
-/// knob rejects garbage identically; split out of hardware_threads() so
-/// the rules are testable without mutating the process environment.
+/// Validation lives in common::parse_env_uint, so any further numeric
+/// env knob rejects garbage identically; split out of hardware_threads()
+/// so the rules are testable without mutating the process environment.
 inline unsigned parse_thread_count(const char* s) {
   return static_cast<unsigned>(common::parse_env_uint(s, 4096));
 }

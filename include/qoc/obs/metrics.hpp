@@ -9,9 +9,11 @@
 //     touched only on first lookup of a name -- call sites cache the
 //     returned reference (the QOC_METRIC_* macros do this with a
 //     function-local static).
-//   * Metric objects are never destroyed: Registry hands out stable
-//     references for the life of the process, so a cached reference
-//     can outlive the session that first resolved it.
+//   * A Registry hands out references that stay valid for its own
+//     life and frees its metrics when destroyed. Registry::global() is
+//     heap-allocated and never destroyed, so the references the
+//     QOC_METRIC_* macros cache in function-local statics never
+//     dangle.
 //   * Metrics are pure observation. Nothing may read a metric to make
 //     a control decision that changes numerical results (the
 //     determinism contract).
@@ -163,8 +165,9 @@ class Histogram {
 };
 
 /// Name -> metric registry. `global()` is the process-wide instance
-/// every QOC_METRIC_* macro resolves against; separate instances exist
-/// for tests and tools that need isolated golden dumps.
+/// every QOC_METRIC_* macro resolves against; separate instances hold
+/// per-object metrics (each serve::ServeSession records its counters
+/// in its own) and isolated golden dumps for tests.
 class Registry {
  public:
   Registry() = default;
@@ -174,8 +177,8 @@ class Registry {
 
   static Registry& global();
 
-  /// Find-or-create. The returned reference is stable for the life of
-  /// the registry; resolving an existing name never allocates.
+  /// Find-or-create. The returned reference is stable until the
+  /// registry is destroyed; resolving an existing name never allocates.
   Counter& counter(const std::string& name) QOC_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name) QOC_EXCLUDES(mu_);
   Histogram& histogram(const std::string& name) QOC_EXCLUDES(mu_);

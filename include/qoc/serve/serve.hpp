@@ -48,7 +48,9 @@
 //   * Service metrics (queue depth, batch occupancy, flush causes,
 //     p50/p99 latency, throughput) are exposed as a plain struct, with
 //     per-replica occupancy, flush-cause and routing counters so a
-//     cold replica is visible instead of averaged away.
+//     cold replica is visible instead of averaged away. The session's
+//     own obs::Registry is the only record of its counters; metrics()
+//     reads it and registry() exports it.
 //
 // Determinism contract: a served result is bit-identical to the same
 // evaluation submitted directly to the backend, and independent of how
@@ -91,6 +93,10 @@
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/exec/observable.hpp"
+
+namespace qoc::obs {
+class Registry;
+}  // namespace qoc::obs
 
 namespace qoc::serve {
 
@@ -258,11 +264,13 @@ struct ReplicaMetrics {
   double mean_batch_occupancy = 0.0;  // coalesced_jobs / batches
 };
 
-/// Point-in-time service counters. Latency percentiles are estimated
-/// from a full-history log-scale histogram of every completion (cache
-/// hits included -- they are served requests too): exact below 8ns,
-/// within 6.25% relative error above. Aggregate batch/flush counters
-/// are the sums of the per-replica slices.
+/// Point-in-time service counters, read under the session mutex from
+/// the session's registry (ServeSession::registry()), so one snapshot
+/// is consistent. Latency percentiles are estimated from its
+/// full-history log-scale histogram of every completion (cache hits
+/// included -- they are served requests too): exact below 8ns, within
+/// 6.25% relative error above. Aggregate batch/flush counters are
+/// computed as the sums of the per-replica slices.
 struct MetricsSnapshot {
   std::uint64_t submitted = 0;        // jobs accepted (incl. cache hits)
   std::uint64_t completed = 0;        // futures fulfilled with a value
@@ -441,6 +449,10 @@ class ServeSession {
   void shutdown();
 
   MetricsSnapshot metrics() const;
+  /// The session's own metrics registry: the one record behind
+  /// metrics(), for Prometheus/JSON export. `qoc_serve_*` names; lane i's
+  /// slice is `qoc_serve_lane<i>_*`. Lives as long as the session.
+  const obs::Registry& registry() const;
 
   const ServeOptions& options() const { return options_; }
   /// The pool this session drains into.

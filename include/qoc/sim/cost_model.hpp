@@ -31,20 +31,11 @@ inline constexpr int kBatchedLaneMaxQubits = 14;
 /// per amplitude row component, matching the AVX2 register budget.
 inline constexpr std::size_t kBatchedLanes = 8;
 
-/// Parse a QOC_BATCH_LANES override (same testable pattern as
-/// parse_thread_count, and the same validation core --
-/// common::parse_env_uint -- so every numeric env knob rejects garbage
-/// identically): 0 when missing/non-numeric (strictly decimal digits;
-/// signs, whitespace and trailing junk are garbage)/non-positive/absurd
-/// (no override). 1 forces the scalar path; otherwise the value must be
-/// even and <= BatchedStatevector::kMaxLanes (32) or it is rejected.
-unsigned parse_batch_lanes(const char* s);
-
 /// Lane width for one batch dispatch: 1 means scalar per-evaluation
-/// execution, k >= 2 means lane groups of k. Priority: QOC_BATCH_LANES
-/// env override, then `pinned_lanes` (the per-backend options knob: -1
-/// defer, 0/1 force scalar, >= 2 pin the width), then the static rule:
-/// kBatchedLanes for 1 <= n <= kBatchedLaneMaxQubits, scalar above.
+/// execution, k >= 2 means lane groups of k. `pinned_lanes` is the
+/// per-backend options knob (-1 defer, 0/1 force scalar, >= 2 pin the
+/// width); deferring applies the static rule: kBatchedLanes for
+/// 1 <= n <= kBatchedLaneMaxQubits, scalar above.
 /// Any requested width is clamped to even and <= 32. A width k is kept
 /// only when 2 * batch_size >= k: with ragged-tail compaction a
 /// part-filled group still beats the scalar path once it is at least

@@ -22,23 +22,6 @@ namespace detail {
 
 using Clock = obs::Clock;
 
-namespace {
-
-/// Gauge update helper for per-lane gauges (names are dynamic, so the
-/// static-caching QOC_METRIC_* macros cannot serve them; the session
-/// resolves each lane's gauge once at construction). Compiles to
-/// nothing at QOC_OBS=0.
-inline void set_gauge(obs::Gauge* g, std::int64_t v) noexcept {
-#if QOC_OBS
-  if (g != nullptr) g->set(v);
-#else
-  (void)g;
-  (void)v;
-#endif
-}
-
-}  // namespace
-
 struct CircuitEntry {
   const SessionState* owner = nullptr;
   std::uint64_t id = 0;
@@ -94,6 +77,11 @@ std::uint64_t observable_hash(const exec::CompiledObservable& o) {
     h = mix(h, 0x7E53ULL);  // term separator
   }
   return h;
+}
+
+/// "qoc_serve_lane<i>_<what>": lane i's slice of the session registry.
+std::string lane_metric(std::size_t lane, const char* what) {
+  return "qoc_serve_lane" + std::to_string(lane) + "_" + what;
 }
 
 bool observable_equal(const exec::CompiledObservable& a,
@@ -163,36 +151,38 @@ struct ReadyBatch {
 
 /// One replica's drain lane: a worker thread pulling routed batches off
 /// a private queue, so batches execute concurrently across replicas.
-/// `inflight_jobs` (atomic: read lock-free by the routing pass and by
-/// metrics) counts jobs routed here but not yet completed -- the
-/// least-queued-work signal. The lane's counter slice lives in
-/// SessionState::lane_stats[index], guarded by the session mutex (see
-/// LaneCounters).
+/// Its counters are its slice of the session registry, resolved once
+/// here. The routing counters are bumped by the dispatcher at routing
+/// time and the rest by the lane at completion, always under the
+/// session mutex, so metrics() reads a consistent slice.
+/// `inflight_jobs` counts jobs routed here but not yet completed -- the
+/// least-queued-work signal routing reads.
 struct ReplicaLane {
-  backend::Backend* replica = nullptr;
-  std::size_t index = 0;  // slot in SessionState::lane_stats
+  ReplicaLane(backend::Backend& r, std::size_t i, obs::Registry& reg)
+      : replica(&r),
+        index(i),
+        batches(reg.counter(lane_metric(i, "batches_total"))),
+        coalesced_jobs(reg.counter(lane_metric(i, "coalesced_jobs_total"))),
+        executed_jobs(reg.counter(lane_metric(i, "executed_jobs_total"))),
+        size_flushes(reg.counter(lane_metric(i, "size_flushes_total"))),
+        deadline_flushes(
+            reg.counter(lane_metric(i, "deadline_flushes_total"))),
+        affinity_routes(reg.counter(lane_metric(i, "affinity_routes_total"))),
+        assigned_structures(
+            reg.counter(lane_metric(i, "assigned_structures_total"))),
+        inflight_jobs(reg.gauge(lane_metric(i, "inflight_jobs"))) {}
+
+  backend::Backend* const replica;
+  const std::size_t index;
   common::Mutex mutex;
   common::CondVar cv;
   std::deque<ReadyBatch> queue QOC_GUARDED_BY(mutex);
   bool stop QOC_GUARDED_BY(mutex) = false;
   std::thread worker;
-  std::atomic<std::size_t> inflight_jobs{0};
-  // Per-lane occupancy gauge ("qoc_serve_lane<i>_inflight_jobs"),
-  // resolved once at session construction; null at QOC_OBS=0.
-  obs::Gauge* inflight_gauge = nullptr;
-};
-
-/// Per-replica counter slice, indexed by ReplicaLane::index. Owned by
-/// SessionState rather than the lane so every counter sits under the
-/// one session mutex its writers already hold -- the routing counters
-/// are written by the dispatcher at routing time, everything else by
-/// the lane at completion -- and the thread-safety analysis can name
-/// the guarding capability (it cannot express "guarded by another
-/// object's mutex" on a ReplicaLane member).
-struct LaneCounters {
-  std::uint64_t batches = 0, coalesced_jobs = 0, executed_jobs = 0;
-  std::uint64_t size_flushes = 0, deadline_flushes = 0;
-  std::uint64_t affinity_routes = 0, assigned_structures = 0;
+  obs::Counter &batches, &coalesced_jobs, &executed_jobs;
+  obs::Counter &size_flushes, &deadline_flushes;
+  obs::Counter &affinity_routes, &assigned_structures;
+  obs::Gauge& inflight_jobs;
 };
 
 struct SessionState {
@@ -202,7 +192,22 @@ struct SessionState {
   const bool fold_possible;  // any replica could fold duplicates
   const Clock::time_point started = Clock::now();
 
-  // ---- job queue + metrics (mutex) ----
+  // ---- counters (one registry, the only record of them) ----
+  // Every bump happens under `mutex`, so a snapshot taken under it is
+  // consistent; only a lane's completions lower its in-flight gauge
+  // outside it.
+  obs::Registry metrics;
+  obs::Counter& submitted = metrics.counter("qoc_serve_jobs_submitted_total");
+  obs::Counter& completed = metrics.counter("qoc_serve_jobs_completed_total");
+  obs::Counter& failed = metrics.counter("qoc_serve_jobs_failed_total");
+  obs::Counter& cache_hits = metrics.counter("qoc_serve_cache_hits_total");
+  obs::Counter& folded_jobs = metrics.counter("qoc_serve_jobs_folded_total");
+  obs::Counter& shed_jobs = metrics.counter("qoc_serve_jobs_shed_total");
+  // Full-history submit->fulfil latency (cache hits included): feeds
+  // the metrics() percentiles.
+  obs::Histogram& latency = metrics.histogram("qoc_serve_latency_ns");
+
+  // ---- job queue (mutex) ----
   mutable common::Mutex mutex;
   common::CondVar cv;        // wakes the dispatcher
   common::CondVar space_cv;  // wakes blocked submitters
@@ -221,23 +226,7 @@ struct SessionState {
   std::unordered_map<std::uint64_t, std::size_t> structure_affinity
       QOC_GUARDED_BY(mutex);
 
-  std::uint64_t submitted QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t completed QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t failed QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t cache_hits QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t folded_jobs QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t shed_jobs QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t batches QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t coalesced_jobs QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t size_flushes QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t deadline_flushes QOC_GUARDED_BY(mutex) = 0;
   std::size_t peak_queue_depth QOC_GUARDED_BY(mutex) = 0;
-  // Full-history submit->fulfil latency histogram (wait-free atomics,
-  // deliberately outside the mutex): feeds the metrics() percentiles,
-  // replacing the former 8192-sample ring window and its sorted copy.
-  obs::Histogram latency_hist;
-  // Per-replica counter slices, one per lane (ReplicaLane::index).
-  std::vector<LaneCounters> lane_stats QOC_GUARDED_BY(mutex);
 
   // ---- per-replica drain lanes (vector immutable after construction;
   // each lane's queue/stop sit under its own lane mutex) ----
@@ -278,17 +267,10 @@ struct SessionState {
         options(o),
         cache_enabled(o.result_cache_capacity > 0 && pool.deterministic()),
         fold_possible(o.fold_duplicates && any_replica_deterministic(pool)) {
-    lane_stats.resize(pool.size());
     lanes.reserve(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      lanes.push_back(std::make_unique<ReplicaLane>());
-      lanes.back()->replica = &pool.replica(i);
-      lanes.back()->index = i;
-#if QOC_OBS
-      lanes.back()->inflight_gauge = &obs::Registry::global().gauge(
-          "qoc_serve_lane" + std::to_string(i) + "_inflight_jobs");
-#endif
-    }
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      lanes.push_back(
+          std::make_unique<ReplicaLane>(pool.replica(i), i, metrics));
   }
 
   // Drain concurrency: the requested fan-out, capped at a fair share of
@@ -304,13 +286,11 @@ struct SessionState {
     return common::ThreadPool::global().fair_share(requested, drains_now);
   }
 
-  void record_latency(Clock::time_point enqueued, Clock::time_point now) {
+  void record_latency(Clock::time_point enqueued, Clock::time_point now)
+      QOC_REQUIRES(mutex) {
     const auto d =
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - enqueued);
-    const std::uint64_t ns =
-        d.count() < 0 ? 0 : static_cast<std::uint64_t>(d.count());
-    latency_hist.record(ns);
-    QOC_METRIC_HISTOGRAM_NS("qoc_serve_latency_ns", ns);
+    latency.record(d.count() < 0 ? 0 : static_cast<std::uint64_t>(d.count()));
   }
 
   // ---- result cache -------------------------------------------------------
@@ -376,33 +356,18 @@ struct SessionState {
     return out;
   }
 
-  /// Commits one drained batch to the aggregate and per-replica batch /
-  /// occupancy / flush-cause counters. Called by the lane at completion
-  /// (success or failure) -- never at routing time, so a batch queued
-  /// behind a busy replica is not reported as executed.
-  void commit_batch_locked(const ReplicaLane& lane, FlushCause cause,
+  /// Commits one drained batch to the lane's batch / occupancy /
+  /// flush-cause counters. Called by the lane at completion (success or
+  /// failure) -- never at routing time, so a batch queued behind a busy
+  /// replica is not reported as executed.
+  void commit_batch_locked(ReplicaLane& lane, FlushCause cause,
                            std::size_t jobs) QOC_REQUIRES(mutex) {
-    LaneCounters& slice = lane_stats[lane.index];
-    ++batches;
-    ++slice.batches;
-    coalesced_jobs += jobs;
-    slice.coalesced_jobs += jobs;
-    QOC_METRIC_COUNTER_ADD("qoc_serve_batches_total", 1);
-    QOC_METRIC_COUNTER_ADD("qoc_serve_coalesced_jobs_total", jobs);
-    switch (cause) {
-      case FlushCause::kSize:
-        ++size_flushes;
-        ++slice.size_flushes;
-        QOC_METRIC_COUNTER_ADD("qoc_serve_size_flushes_total", 1);
-        break;
-      case FlushCause::kDeadline:
-        ++deadline_flushes;
-        ++slice.deadline_flushes;
-        QOC_METRIC_COUNTER_ADD("qoc_serve_deadline_flushes_total", 1);
-        break;
-      case FlushCause::kShutdown:
-        break;
-    }
+    lane.batches.add();
+    lane.coalesced_jobs.add(jobs);
+    if (cause == FlushCause::kSize)
+      lane.size_flushes.add();
+    else if (cause == FlushCause::kDeadline)
+      lane.deadline_flushes.add();
   }
 
   /// Occupies one drain slot for the lifetime of a backend call, so
@@ -504,15 +469,10 @@ struct SessionState {
       {
         const common::MutexLock lock(mutex);
         commit_batch_locked(lane, ready.cause, batch.size());
-        failed += batch.size();
+        failed.add(batch.size());
         in_flight -= batch.size();
       }
-      QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_failed_total", batch.size());
-      const std::size_t left_failed =
-          lane.inflight_jobs.fetch_sub(batch.size(),
-                                       std::memory_order_relaxed) -
-          batch.size();
-      set_gauge(lane.inflight_gauge, static_cast<std::int64_t>(left_failed));
+      lane.inflight_jobs.add(-static_cast<std::int64_t>(batch.size()));
       space_cv.notify_all();
       for (Job& j : batch) {
         QOC_TRACE_ASYNC_END("serve", "job", j.stream);
@@ -528,19 +488,13 @@ struct SessionState {
       const auto now = Clock::now();
       const common::MutexLock lock(mutex);
       commit_batch_locked(lane, ready.cause, batch.size());
-      completed += batch.size();
-      folded_jobs += batch.size() - leaders.size();
-      lane_stats[lane.index].executed_jobs += leaders.size();
+      completed.add(batch.size());
+      folded_jobs.add(batch.size() - leaders.size());
+      lane.executed_jobs.add(leaders.size());
       in_flight -= batch.size();
       for (const Job& j : batch) record_latency(j.enqueued, now);
     }
-    QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_completed_total", batch.size());
-    QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_folded_total",
-                           batch.size() - leaders.size());
-    const std::size_t left =
-        lane.inflight_jobs.fetch_sub(batch.size(), std::memory_order_relaxed) -
-        batch.size();
-    set_gauge(lane.inflight_gauge, static_cast<std::int64_t>(left));
+    lane.inflight_jobs.add(-static_cast<std::int64_t>(batch.size()));
     space_cv.notify_all();
 
     // Result records: one per fulfilled job, folded duplicates included
@@ -612,32 +566,31 @@ struct SessionState {
     }
   }
 
-  /// Pick the lane for a flushed batch of `circuit_id`. Structure
-  /// affinity first: a structure that has routed before goes back to
-  /// its replica, keeping that replica's transpile / lowered-pattern
-  /// caches hot. New structures are placed on the lane with the least
-  /// in-flight work (ties break to the lowest index, so single-replica
-  /// sessions and idle pools route deterministically).
-  ReplicaLane& route_locked(std::uint64_t circuit_id, bool& was_affinity)
-      QOC_REQUIRES(mutex) {
+  /// Pick the lane for a flushed batch of `circuit_id` and count the
+  /// decision on its slice. Structure affinity first: a structure that
+  /// has routed before goes back to its replica, keeping that replica's
+  /// transpile / lowered-pattern caches hot. New structures are placed
+  /// on the lane whose in-flight gauge is lowest (ties break to the
+  /// lowest index, so single-replica sessions and idle pools route
+  /// deterministically). Routing never changes results, so reading a
+  /// gauge to decide it keeps metrics pure observation.
+  ReplicaLane& route_locked(std::uint64_t circuit_id) QOC_REQUIRES(mutex) {
     const auto it = structure_affinity.find(circuit_id);
     if (it != structure_affinity.end()) {
-      was_affinity = true;
+      lanes[it->second]->affinity_routes.add();
       return *lanes[it->second];
     }
     std::size_t best = 0;
-    std::size_t best_load =
-        lanes[0]->inflight_jobs.load(std::memory_order_relaxed);
+    std::int64_t best_load = lanes[0]->inflight_jobs.value();
     for (std::size_t i = 1; i < lanes.size(); ++i) {
-      const std::size_t load =
-          lanes[i]->inflight_jobs.load(std::memory_order_relaxed);
+      const std::int64_t load = lanes[i]->inflight_jobs.value();
       if (load < best_load) {
         best = i;
         best_load = load;
       }
     }
     structure_affinity.emplace(circuit_id, best);
-    was_affinity = false;
+    lanes[best]->assigned_structures.add();
     return *lanes[best];
   }
 
@@ -693,26 +646,14 @@ struct SessionState {
       std::vector<Job> batch = extract_locked(bucket, options.max_batch);
       if (bucket.size == 0) buckets.erase(pick);
 
-      bool was_affinity = false;
-      ReplicaLane& lane = route_locked(circuit->id, was_affinity);
-      if (was_affinity) {
-        ++lane_stats[lane.index].affinity_routes;
-        QOC_METRIC_COUNTER_ADD("qoc_serve_affinity_routes_total", 1);
-      } else {
-        ++lane_stats[lane.index].assigned_structures;
-        QOC_METRIC_COUNTER_ADD("qoc_serve_assigned_structures_total", 1);
-      }
+      ReplicaLane& lane = route_locked(circuit->id);
       const FlushCause cause = by_size   ? FlushCause::kSize
                                : !stop   ? FlushCause::kDeadline
                                          : FlushCause::kShutdown;
       QOC_TRACE_SPAN_ARG("serve", "route", "lane",
                          static_cast<std::int64_t>(lane.index));
       QOC_TRACE_COUNTER("qoc_serve_queue_depth", total_queued);
-      const std::size_t routed =
-          lane.inflight_jobs.fetch_add(batch.size(),
-                                       std::memory_order_relaxed) +
-          batch.size();
-      set_gauge(lane.inflight_gauge, static_cast<std::int64_t>(routed));
+      lane.inflight_jobs.add(static_cast<std::int64_t>(batch.size()));
       {
         // Lock order session mutex -> lane mutex, everywhere: lanes
         // only take the session mutex with their own mutex released.
@@ -835,6 +776,10 @@ ServeSession::ServeSession(BackendPool pool, ServeOptions options)
 ServeSession::~ServeSession() { shutdown(); }
 
 const BackendPool& ServeSession::pool() const { return state_->pool; }
+
+const obs::Registry& ServeSession::registry() const {
+  return state_->metrics;
+}
 
 void ServeSession::shutdown() {
   {
@@ -973,14 +918,11 @@ std::future<Result> submit_impl(
       {
         const common::MutexLock lock(s->mutex);
         if (s->stop) throw std::runtime_error("ServeSession: shut down");
-        ++s->submitted;
-        ++s->completed;
-        ++s->cache_hits;
+        s->submitted.add();
+        s->completed.add();
+        s->cache_hits.add();
         s->record_latency(now, detail::Clock::now());
       }
-      QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_submitted_total", 1);
-      QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_completed_total", 1);
-      QOC_METRIC_COUNTER_ADD("qoc_serve_cache_hits_total", 1);
       // Cache hits are admitted, completed jobs: the trace records them
       // like any other (submission immediately followed by its result),
       // so a replay against a cache-less session reproduces them.
@@ -1024,8 +966,7 @@ std::future<Result> submit_impl(
     // buckets the dispatcher has not flushed yet.
     if (s->options.max_queue > 0 && s->in_flight >= s->options.max_queue) {
       if (s->options.overload == OverloadPolicy::Shed) {
-        ++s->shed_jobs;
-        QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_shed_total", 1);
+        s->shed_jobs.add();
         lock.unlock();
         std::promise<Result> p;
         auto rejected = p.get_future();
@@ -1057,9 +998,8 @@ std::future<Result> submit_impl(
     bucket.lanes[client_id].push_back(std::move(job));
     ++bucket.size;
     ++s->total_queued;
-    ++s->submitted;
+    s->submitted.add();
     s->peak_queue_depth = std::max(s->peak_queue_depth, s->total_queued);
-    QOC_METRIC_COUNTER_ADD("qoc_serve_jobs_submitted_total", 1);
     // Per-job async span: begins at admission, ends when the drain
     // lane fulfils the promise; the stable PRNG stream id links the
     // two sides across threads.
@@ -1133,16 +1073,12 @@ MetricsSnapshot ServeSession::metrics() const {
   MetricsSnapshot m;
   {
     const common::MutexLock lock(s->mutex);
-    m.submitted = s->submitted;
-    m.completed = s->completed;
-    m.failed = s->failed;
-    m.cache_hits = s->cache_hits;
-    m.folded_jobs = s->folded_jobs;
-    m.shed_jobs = s->shed_jobs;
-    m.batches = s->batches;
-    m.coalesced_jobs = s->coalesced_jobs;
-    m.size_flushes = s->size_flushes;
-    m.deadline_flushes = s->deadline_flushes;
+    m.submitted = s->submitted.value();
+    m.completed = s->completed.value();
+    m.failed = s->failed.value();
+    m.cache_hits = s->cache_hits.value();
+    m.folded_jobs = s->folded_jobs.value();
+    m.shed_jobs = s->shed_jobs.value();
     m.queue_depth = s->total_queued;
     m.peak_queue_depth = s->peak_queue_depth;
     m.in_flight = s->in_flight;
@@ -1150,19 +1086,22 @@ MetricsSnapshot ServeSession::metrics() const {
     for (const auto& lane : s->lanes) {
       ReplicaMetrics r;
       r.backend_name = lane->replica->name();
-      const detail::LaneCounters& slice = s->lane_stats[lane->index];
-      r.batches = slice.batches;
-      r.coalesced_jobs = slice.coalesced_jobs;
-      r.executed_jobs = slice.executed_jobs;
-      r.size_flushes = slice.size_flushes;
-      r.deadline_flushes = slice.deadline_flushes;
-      r.affinity_routes = slice.affinity_routes;
-      r.assigned_structures = slice.assigned_structures;
-      r.inflight_jobs =
-          lane->inflight_jobs.load(std::memory_order_relaxed);
+      r.batches = lane->batches.value();
+      r.coalesced_jobs = lane->coalesced_jobs.value();
+      r.executed_jobs = lane->executed_jobs.value();
+      r.size_flushes = lane->size_flushes.value();
+      r.deadline_flushes = lane->deadline_flushes.value();
+      r.affinity_routes = lane->affinity_routes.value();
+      r.assigned_structures = lane->assigned_structures.value();
+      r.inflight_jobs = static_cast<std::size_t>(lane->inflight_jobs.value());
       if (r.batches > 0)
         r.mean_batch_occupancy = static_cast<double>(r.coalesced_jobs) /
                                  static_cast<double>(r.batches);
+      // The aggregate batch/flush counters are the sums of the slices.
+      m.batches += r.batches;
+      m.coalesced_jobs += r.coalesced_jobs;
+      m.size_flushes += r.size_flushes;
+      m.deadline_flushes += r.deadline_flushes;
       m.replicas.push_back(std::move(r));
     }
   }
@@ -1171,14 +1110,14 @@ MetricsSnapshot ServeSession::metrics() const {
                              static_cast<double>(m.batches);
   // Percentiles come from the session's full-history log-scale
   // histogram (exact below 8ns, <=6.25% relative error above; same
-  // rank convention as indexing the sorted window this replaced). The
-  // histogram is lock-free, so no mutex hold and no O(n log n) sort on
-  // the metrics path.
-  if (s->latency_hist.count() > 0) {
+  // rank convention as indexing a sorted window). The histogram is
+  // lock-free, so no mutex hold and no O(n log n) sort on the metrics
+  // path.
+  if (s->latency.count() > 0) {
     m.p50_latency_us =
-        static_cast<double>(s->latency_hist.quantile_ns(0.50)) / 1000.0;
+        static_cast<double>(s->latency.quantile_ns(0.50)) / 1000.0;
     m.p99_latency_us =
-        static_cast<double>(s->latency_hist.quantile_ns(0.99)) / 1000.0;
+        static_cast<double>(s->latency.quantile_ns(0.99)) / 1000.0;
   }
   const double elapsed_s = std::chrono::duration<double>(
                                detail::Clock::now() - s->started)

@@ -2,12 +2,11 @@
 // lane-grouped run_batch / expect_batch results must be BITWISE identical
 // to the scalar per-evaluation path (the oracle), including the non-
 // multiple tail, mixed zero-angle bindings, sampled mode and pinned RNG
-// streams. Also unit-tests the lane-width policy (QOC_BATCH_LANES parse,
-// StatevectorBackendOptions pin, cost-model crossover).
+// streams. Also unit-tests the lane-width policy (StatevectorBackendOptions
+// pin, cost-model crossover).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@ using qoc::circuit::ParamRef;
 using qoc::exec::CompiledCircuit;
 using qoc::exec::Evaluation;
 using qoc::sim::batch_lane_width;
-using qoc::sim::parse_batch_lanes;
 
 constexpr std::uint64_t kSeed = 0xBADC0FFEEULL;
 
@@ -110,41 +108,9 @@ StatevectorBackend wide_backend(int shots = 0, int lanes = -1) {
 
 // ---- Policy unit tests -----------------------------------------------------
 
-TEST(BatchLanePolicy, ParseBatchLanes) {
-  EXPECT_EQ(parse_batch_lanes(nullptr), 0u);
-  EXPECT_EQ(parse_batch_lanes(""), 0u);
-  EXPECT_EQ(parse_batch_lanes("junk"), 0u);
-  EXPECT_EQ(parse_batch_lanes("8x"), 0u);
-  EXPECT_EQ(parse_batch_lanes("-4"), 0u);
-  EXPECT_EQ(parse_batch_lanes("0"), 0u);
-  EXPECT_EQ(parse_batch_lanes("33"), 0u);
-  EXPECT_EQ(parse_batch_lanes("3"), 0u);  // odd widths rejected
-  EXPECT_EQ(parse_batch_lanes("1"), 1u);  // force-scalar
-  EXPECT_EQ(parse_batch_lanes("2"), 2u);
-  EXPECT_EQ(parse_batch_lanes("8"), 8u);
-  EXPECT_EQ(parse_batch_lanes("32"), 32u);
-}
-
-TEST(BatchLanePolicy, ParseBatchLanesStrictDigits) {
-  // QOC_BATCH_LANES goes through common::parse_env_uint (shared with
-  // QOC_THREADS), so both knobs reject garbage identically: strictly
-  // decimal digits, no signs / whitespace / radix prefixes / trailing
-  // junk, and overflow never wraps into a plausible width.
-  EXPECT_EQ(parse_batch_lanes("+8"), 0u);    // explicit sign
-  EXPECT_EQ(parse_batch_lanes(" 8"), 0u);    // leading whitespace
-  EXPECT_EQ(parse_batch_lanes("8 "), 0u);    // trailing whitespace
-  EXPECT_EQ(parse_batch_lanes("0x10"), 0u);  // hex prefix
-  EXPECT_EQ(parse_batch_lanes("1e3"), 0u);   // exponent notation
-  EXPECT_EQ(parse_batch_lanes("8.0"), 0u);   // decimal point
-  EXPECT_EQ(parse_batch_lanes("0008"), 8u);  // leading zeros are digits
-  EXPECT_EQ(parse_batch_lanes("0032"), 32u);
-  EXPECT_EQ(parse_batch_lanes("0003"), 0u);  // still odd, still rejected
-  EXPECT_EQ(parse_batch_lanes("99999999999999999999"), 0u);
-}
-
 TEST(BatchLanePolicy, CostModelCrossover) {
-  // No env override and no pin: the static rule is full width across the
-  // supported range, scalar beyond it.
+  // No pin: the static rule is full width across the supported range,
+  // scalar beyond it.
   for (int n = 1; n <= qoc::sim::kBatchedLaneMaxQubits; ++n)
     EXPECT_EQ(batch_lane_width(n, 64), qoc::sim::kBatchedLanes) << "n=" << n;
   for (const int n : {qoc::sim::kBatchedLaneMaxQubits + 1, 20, 30})
@@ -244,18 +210,6 @@ TEST(BatchLanePolicy, PartitionLanes) {
       p = partition_lanes(10, batch, static_cast<int>(lanes));
       check_groups(p, batch);
     }
-}
-
-TEST(BatchLanePolicy, EnvOverrideWinsOverEverything) {
-  ::setenv("QOC_BATCH_LANES", "4", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 0), 4u);   // beats the kill switch
-  EXPECT_EQ(batch_lane_width(20, 64, -1), 4u);  // beats the cost model
-  ::setenv("QOC_BATCH_LANES", "1", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 8), 1u);   // force-scalar
-  ::setenv("QOC_BATCH_LANES", "bogus", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 4), 4u);   // junk -> no override
-  ::unsetenv("QOC_BATCH_LANES");
-  EXPECT_EQ(batch_lane_width(10, 64, 4), 4u);
 }
 
 TEST(BatchedStatevectorShape, ValidatesConstruction) {
@@ -441,24 +395,6 @@ TEST(BatchKernelParity, PinnedWidthsAgreeWithScalar) {
       for (std::size_t q = 0; q < ref[i].size(); ++q)
         EXPECT_EQ(ref[i][q], got[i][q]) << "lanes=" << lanes << " i=" << i;
   }
-}
-
-TEST(BatchKernelParity, EnvOverrideRoutesWideBatch) {
-  // QOC_BATCH_LANES must flip the dispatch at runtime, and the forced
-  // widths must still match the scalar oracle bitwise.
-  const Circuit c = dense_circuit(5);
-  const CompiledCircuit plan = CompiledCircuit::compile(c);
-  const EvalSet s = make_evals(5, 11);
-  StatevectorBackend oracle = scalar_backend();
-  const auto ref = oracle.run_batch(plan, s.evals);
-
-  ::setenv("QOC_BATCH_LANES", "2", 1);
-  StatevectorBackend forced = scalar_backend();  // env beats the pin
-  const auto got = forced.run_batch(plan, s.evals);
-  ::unsetenv("QOC_BATCH_LANES");
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    for (std::size_t q = 0; q < ref[i].size(); ++q)
-      EXPECT_EQ(ref[i][q], got[i][q]);
 }
 
 // ---- Bitwise parity: expect_batch ------------------------------------------

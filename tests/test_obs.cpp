@@ -3,8 +3,8 @@
 // percentile bug), registry concurrency, golden Prometheus/JSON dumps,
 // span nesting and cross-thread async stitching in the Chrome trace
 // collector, ring wrap accounting, and the observation-purity contract
-// (served results bitwise identical traced vs untraced, global
-// counters reconciling with MetricsSnapshot).
+// (served results bitwise identical traced vs untraced, a serve
+// session's own registry carrying its MetricsSnapshot counts).
 
 #include <gtest/gtest.h>
 
@@ -378,45 +378,67 @@ TEST(ObsServe, TracedResultsBitwiseIdenticalToUntraced) {
     EXPECT_EQ(traced[k], untraced[k]) << "job " << k;
 }
 
-TEST(ObsServe, GlobalCountersReconcileWithMetricsSnapshot) {
-  // The global registry accumulates across sessions, so reconcile on
-  // before/after deltas at the same commit points MetricsSnapshot uses.
-  auto& reg = obs::Registry::global();
-  const auto submitted0 = reg.counter("qoc_serve_jobs_submitted_total").value();
-  const auto completed0 = reg.counter("qoc_serve_jobs_completed_total").value();
-  const auto batches0 = reg.counter("qoc_serve_batches_total").value();
-  const auto coalesced0 = reg.counter("qoc_serve_coalesced_jobs_total").value();
+/// Value on the sample line `name <value>` of a Prometheus text dump
+/// (`<histogram>_count` for a histogram's count); ~0 when absent.
+std::uint64_t prom_value(const std::string& prom, const std::string& name) {
+  const std::string text = "\n" + prom;
+  const std::string needle = "\n" + name + " ";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return ~std::uint64_t{0};
+  return std::stoull(text.substr(pos + needle.size()));
+}
 
-  const auto qnn = make_qnn(4, 6, 2);
-  backend::StatevectorBackend backend(0);
+TEST(ObsServe, SessionRegistryCarriesSnapshotCounters) {
+  // Each session's own registry is the one record behind metrics(), so
+  // its dump carries exactly the snapshot's counts -- in QOC_OBS=OFF
+  // builds too -- and a later session in the same process starts from
+  // zero instead of inheriting the first one's totals.
+  const auto qnn_a = make_qnn(4, 6, 2);
+  const auto qnn_b = make_qnn(4, 6, 3);
+  backend::StatevectorBackend primary(0);
   serve::ServeOptions opt;
   opt.max_batch = 16;
   opt.max_delay = 200us;
-  serve::MetricsSnapshot m;
-  {
-    serve::ServeSession session(backend, opt);
-    const auto handle = session.register_circuit(qnn);
+
+  for (const unsigned jobs : {40u, 10u}) {
+    serve::ServeSession session(serve::BackendPool(primary, 2), opt);
+    const std::string fresh = session.registry().prometheus_dump();
+    EXPECT_EQ(prom_value(fresh, "qoc_serve_jobs_submitted_total"), 0u);
+    EXPECT_EQ(prom_value(fresh, "qoc_serve_lane0_batches_total"), 0u);
+    EXPECT_EQ(prom_value(fresh, "qoc_serve_latency_ns_count"), 0u);
+
+    const auto ha = session.register_circuit(qnn_a);
+    const auto hb = session.register_circuit(qnn_b);
     auto client = session.client();
     std::vector<std::future<std::vector<double>>> futures;
-    for (unsigned k = 0; k < 40; ++k)
-      futures.push_back(client.submit(handle,
+    for (unsigned k = 0; k < jobs; ++k) {
+      const auto& qnn = k % 2 == 0 ? qnn_a : qnn_b;
+      futures.push_back(client.submit(k % 2 == 0 ? ha : hb,
                                       make_theta(qnn.num_trainable(), k),
                                       make_input(qnn.num_inputs(), k)));
+    }
     for (auto& f : futures) f.get();
-    m = session.metrics();
-    session.shutdown();
-  }
+    const auto m = session.metrics();
+    const std::string prom = session.registry().prometheus_dump();
 
-  EXPECT_EQ(reg.counter("qoc_serve_jobs_submitted_total").value() - submitted0,
-            m.submitted);
-  EXPECT_EQ(reg.counter("qoc_serve_jobs_completed_total").value() - completed0,
-            m.completed);
-  EXPECT_EQ(reg.counter("qoc_serve_batches_total").value() - batches0,
-            m.batches);
-  EXPECT_EQ(reg.counter("qoc_serve_coalesced_jobs_total").value() - coalesced0,
-            m.coalesced_jobs);
-  // The serve latency histogram saw every completion.
-  EXPECT_GE(reg.histogram("qoc_serve_latency_ns").count(), m.completed);
+    EXPECT_EQ(m.submitted, jobs);
+    EXPECT_EQ(m.completed, jobs);
+    EXPECT_EQ(prom_value(prom, "qoc_serve_jobs_submitted_total"), m.submitted);
+    EXPECT_EQ(prom_value(prom, "qoc_serve_jobs_completed_total"), m.completed);
+    EXPECT_EQ(prom_value(prom, "qoc_serve_jobs_failed_total"), m.failed);
+    EXPECT_EQ(prom_value(prom, "qoc_serve_latency_ns_count"), m.completed);
+    ASSERT_EQ(m.replicas.size(), 2u);
+    std::uint64_t lane_batches = 0;
+    for (std::size_t i = 0; i < m.replicas.size(); ++i) {
+      const std::string lane = "qoc_serve_lane" + std::to_string(i) + "_";
+      EXPECT_EQ(prom_value(prom, lane + "batches_total"),
+                m.replicas[i].batches);
+      EXPECT_EQ(prom_value(prom, lane + "coalesced_jobs_total"),
+                m.replicas[i].coalesced_jobs);
+      lane_batches += m.replicas[i].batches;
+    }
+    EXPECT_EQ(m.batches, lane_batches);
+  }
 }
 
 TEST(ObsServe, SnapshotPercentilesComeFromFullHistoryHistogram) {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -706,29 +707,71 @@ TEST(ServeSharded, ShedUnderFullQueueOfFoldedDuplicates) {
 // Failure paths
 // ---------------------------------------------------------------------------
 
-// A backend exception fails exactly the jobs of the batch that threw:
-// their futures rethrow it, the failure is counted (snapshot and obs
-// counter alike), the in-flight count drains back to zero, and the lane
-// stays alive for later batches of another structure.
+/// Value on the sample line `name <value>` of a Prometheus text dump;
+/// ~0 when absent.
+std::uint64_t prom_value(const std::string& prom, const std::string& name) {
+  const std::string text = "\n" + prom;
+  const std::string needle = "\n" + name + " ";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return ~std::uint64_t{0};
+  return std::stoull(text.substr(pos + needle.size()));
+}
+
+// A backend exception on one replica of a two-replica pool fails exactly
+// the jobs of the batch that threw: their futures rethrow it, the failed
+// batch counts on that lane's slice only, the session registry carries
+// the failure, the in-flight count drains back to zero, and both lanes
+// keep serving other structures with results equal to a direct
+// run_batch. Size flushes and a frozen lane make every routing decision
+// deterministic: replica 0 holds in-flight work, so each new structure
+// lands on replica 1.
 TEST(ServeSharded, ReplicaFailingOneStructureFailsOnlyItsJobs) {
   const auto bad = make_qnn(3, 4, 1);
   const auto good = make_qnn(4, 6, 2);
-  FailingStructureBackend backend(bad);
-#if QOC_OBS
-  auto& reg = obs::Registry::global();
-  const auto failed0 = reg.counter("qoc_serve_jobs_failed_total").value();
-#endif
-  serve::ServeSession session(backend, fast_options());
+  const auto other = make_qnn(4, 6, 3);
+  GateBackend gate;                        // replica 0
+  FailingStructureBackend failing(bad);    // replica 1
+  constexpr unsigned kJobs = 4;
+  serve::ServeOptions opt;
+  opt.max_batch = kJobs;  // every batch flushes by size...
+  opt.max_delay = 10s;    // ... never by deadline
+  serve::ServeSession session(serve::BackendPool({&gate, &failing}), opt);
   const auto hbad = session.register_circuit(bad);
   const auto hgood = session.register_circuit(good);
+  const auto hother = session.register_circuit(other);
   auto client = session.client();
 
-  constexpr unsigned kBad = 5;
-  std::vector<std::future<std::vector<double>>> failing;
-  for (unsigned k = 0; k < kBad; ++k)
-    failing.push_back(client.submit(hbad, make_theta(bad.num_trainable(), 0, k),
-                                    make_input(bad.num_inputs(), 0, k)));
-  for (auto& f : failing) {
+  struct Jobs {
+    std::vector<std::vector<double>> thetas, inputs;
+    std::vector<std::future<std::vector<double>>> futures;
+  };
+  const auto submit = [&](const circuit::Circuit& c,
+                          const serve::CircuitHandle& h, unsigned tag) {
+    Jobs j;
+    for (unsigned k = 0; k < kJobs; ++k) {
+      j.thetas.push_back(make_theta(c.num_trainable(), tag, k));
+      j.inputs.push_back(make_input(c.num_inputs(), tag, k));
+      j.futures.push_back(client.submit(h, j.thetas.back(), j.inputs.back()));
+    }
+    return j;
+  };
+  const auto expect_direct = [](const circuit::Circuit& c, Jobs& j) {
+    std::vector<exec::Evaluation> evals;
+    for (unsigned k = 0; k < kJobs; ++k)
+      evals.push_back(
+          {j.thetas[k], j.inputs[k], exec::Evaluation::kNoShift, 0.0});
+    backend::StatevectorBackend direct(0);
+    const auto expected =
+        direct.run_batch(exec::CompiledCircuit::compile(c), evals);
+    for (unsigned k = 0; k < kJobs; ++k)
+      EXPECT_EQ(j.futures[k].get(), expected[k]) << "job " << k;
+  };
+
+  Jobs good_jobs = submit(good, hgood, 0);
+  gate.wait_for_batches(1);  // replica 0 frozen with kJobs in flight
+
+  Jobs bad_jobs = submit(bad, hbad, 1);
+  for (auto& f : bad_jobs.futures) {
     try {
       (void)f.get();
       ADD_FAILURE() << "future of a failed batch returned a value";
@@ -738,37 +781,54 @@ TEST(ServeSharded, ReplicaFailingOneStructureFailsOnlyItsJobs) {
   }
   {
     const auto m = session.metrics();
-    EXPECT_EQ(m.failed, kBad);
+    EXPECT_EQ(m.failed, kJobs);
     EXPECT_EQ(m.completed, 0u);
-    EXPECT_EQ(m.in_flight, 0u);
+    EXPECT_EQ(m.in_flight, kJobs);  // only the frozen batch
+    ASSERT_EQ(m.replicas.size(), 2u);
+    EXPECT_EQ(m.replicas[1].batches, 1u);
+    EXPECT_EQ(m.replicas[1].coalesced_jobs, kJobs);
+    EXPECT_EQ(m.replicas[1].executed_jobs, 0u);
+    EXPECT_EQ(m.replicas[1].inflight_jobs, 0u);
+    EXPECT_EQ(m.replicas[0].batches, 0u);  // frozen: not committed yet
+    EXPECT_EQ(m.replicas[0].coalesced_jobs, 0u);
+    EXPECT_EQ(m.replicas[0].inflight_jobs, kJobs);
+    EXPECT_EQ(prom_value(session.registry().prometheus_dump(),
+                         "qoc_serve_jobs_failed_total"),
+              m.failed);
   }
-#if QOC_OBS
-  EXPECT_EQ(reg.counter("qoc_serve_jobs_failed_total").value() - failed0,
-            kBad);
-#endif
 
-  // The same replica keeps serving the other structure.
-  constexpr unsigned kGood = 6;
-  std::vector<std::future<std::vector<double>>> futures;
-  std::vector<std::vector<double>> thetas, inputs;
-  for (unsigned k = 0; k < kGood; ++k) {
-    thetas.push_back(make_theta(good.num_trainable(), 1, k));
-    inputs.push_back(make_input(good.num_inputs(), 1, k));
-    futures.push_back(client.submit(hgood, thetas.back(), inputs.back()));
-  }
-  std::vector<exec::Evaluation> evals;
-  for (unsigned k = 0; k < kGood; ++k)
-    evals.push_back({thetas[k], inputs[k], exec::Evaluation::kNoShift, 0.0});
-  backend::StatevectorBackend direct(0);
-  const auto expected =
-      direct.run_batch(exec::CompiledCircuit::compile(good), evals);
-  for (unsigned k = 0; k < kGood; ++k)
-    EXPECT_EQ(futures[k].get(), expected[k]) << "job " << k;
+  // The failing replica keeps serving another structure...
+  Jobs other_jobs = submit(other, hother, 2);
+  expect_direct(other, other_jobs);
+  // ... and the frozen one finishes its own.
+  gate.open();
+  expect_direct(good, good_jobs);
 
   const auto m = session.metrics();
-  EXPECT_EQ(m.failed, kBad);
-  EXPECT_EQ(m.completed, kGood);
+  EXPECT_EQ(m.failed, kJobs);
+  EXPECT_EQ(m.completed, 2 * kJobs);
   EXPECT_EQ(m.in_flight, 0u);
+  EXPECT_EQ(m.replicas[0].batches, 1u);
+  EXPECT_EQ(m.replicas[0].assigned_structures, 1u);
+  EXPECT_EQ(m.replicas[1].batches, 2u);
+  EXPECT_EQ(m.replicas[1].assigned_structures, 2u);
+  EXPECT_EQ(m.replicas[1].executed_jobs, kJobs);
+  std::uint64_t batches = 0, coalesced = 0, size_flushes = 0, deadlines = 0;
+  for (const auto& r : m.replicas) {
+    EXPECT_EQ(r.inflight_jobs, 0u);
+    batches += r.batches;
+    coalesced += r.coalesced_jobs;
+    size_flushes += r.size_flushes;
+    deadlines += r.deadline_flushes;
+  }
+  EXPECT_EQ(m.batches, batches);
+  EXPECT_EQ(m.coalesced_jobs, coalesced);
+  EXPECT_EQ(m.size_flushes, size_flushes);
+  EXPECT_EQ(m.deadline_flushes, deadlines);
+  EXPECT_EQ(m.size_flushes, 3u);
+  EXPECT_EQ(prom_value(session.registry().prometheus_dump(),
+                       "qoc_serve_jobs_failed_total"),
+            m.failed);
 }
 
 // ---------------------------------------------------------------------------

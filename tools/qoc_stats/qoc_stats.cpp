@@ -5,13 +5,14 @@
 //                                    obs::Tracer::chrome_json()
 //   qoc_stats metrics <metrics.json> pretty-print a Registry::json_dump()
 //   qoc_stats demo <prefix>          run a small traced serve session,
-//                                    write <prefix>.trace.json /
-//                                    <prefix>.prom / <prefix>.metrics.json,
-//                                    self-check the dumps (job spans must
-//                                    cross serve -> backend -> kernel and
-//                                    the Prometheus counters must
-//                                    reconcile with MetricsSnapshot),
-//                                    then print the trace breakdown.
+//                                    write <prefix>.trace.json and the
+//                                    session registry's <prefix>.prom /
+//                                    <prefix>.metrics.json, self-check
+//                                    the dumps (job spans must cross
+//                                    serve -> backend -> kernel and the
+//                                    Prometheus counters must carry the
+//                                    MetricsSnapshot counts), then print
+//                                    the trace breakdown.
 //
 // The trace parser leans on the emitter's one-event-per-line layout; it
 // is a tool for qoc's own dumps, not a general JSON reader. `demo` is
@@ -273,7 +274,9 @@ int run_demo_mode(const std::string& prefix) {
 #else
   // Small QNN-shaped workload: rotation encoder + two entangling layers
   // on 4 qubits, 48 jobs from 2 clients through an exact statevector
-  // pool so the whole serve -> backend -> kernel path lights up.
+  // pool so the whole serve -> backend -> kernel path lights up. The
+  // serve counters live in the session's own registry, so its dumps are
+  // taken before the session goes away.
   circuit::Circuit qnn(4);
   circuit::add_rotation_encoder(qnn, 6);
   for (int l = 0; l < 2; ++l) {
@@ -284,6 +287,7 @@ int run_demo_mode(const std::string& prefix) {
   obs::Tracer::instance().start();
   backend::StatevectorBackend backend(0);
   serve::MetricsSnapshot snapshot;
+  std::string prom, metrics_json;
   {
     serve::ServeOptions opt;
     opt.max_batch = 16;
@@ -308,14 +312,14 @@ int run_demo_mode(const std::string& prefix) {
       futures.push_back(c1.submit(handle, theta, input));
     }
     for (auto& f : futures) f.get();
-    snapshot = session.metrics();
     session.shutdown();
+    snapshot = session.metrics();
+    prom = session.registry().prometheus_dump();
+    metrics_json = session.registry().json_dump();
   }
   obs::Tracer::instance().stop();
 
   const std::string trace = obs::Tracer::instance().chrome_json();
-  const std::string prom = obs::Registry::global().prometheus_dump();
-  const std::string metrics_json = obs::Registry::global().json_dump();
 
   const std::string trace_path = prefix + ".trace.json";
   const std::string prom_path = prefix + ".prom";
@@ -348,13 +352,16 @@ int run_demo_mode(const std::string& prefix) {
               "per-job async spans stitch across threads");
   ok &= check(prom_counter(prom, "qoc_serve_jobs_submitted_total") ==
                   snapshot.submitted,
-              "prometheus submitted counter reconciles with MetricsSnapshot");
+              "prometheus submitted counter carries MetricsSnapshot's");
   ok &= check(prom_counter(prom, "qoc_serve_jobs_completed_total") ==
                   snapshot.completed,
-              "prometheus completed counter reconciles with MetricsSnapshot");
-  ok &= check(prom_counter(prom, "qoc_serve_batches_total") ==
+              "prometheus completed counter carries MetricsSnapshot's");
+  ok &= check(prom_counter(prom, "qoc_serve_lane0_batches_total") ==
                   snapshot.batches,
-              "prometheus batch counter reconciles with MetricsSnapshot");
+              "prometheus lane batch counter carries MetricsSnapshot's");
+  ok &= check(prom_counter(prom, "qoc_serve_latency_ns_count") ==
+                  snapshot.completed,
+              "prometheus latency histogram saw every completion");
   ok &= check(obs::Tracer::instance().dropped_events() == 0,
               "no trace events dropped");
   std::printf("\n");
