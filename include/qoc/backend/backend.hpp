@@ -50,7 +50,6 @@
 #include "qoc/noise/device_model.hpp"
 #include "qoc/obs/obs.hpp"
 #include "qoc/sim/density_matrix.hpp"
-#include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
 namespace qoc::backend {
@@ -313,13 +312,6 @@ struct NoisyBackendOptions {
   bool enable_readout_error = true;
   /// Global multiplier on calibrated error rates (1.0 = calibrated).
   double noise_scale = 1.0;
-  /// Fuse CX.RZ.CX triples of the transpiled trajectory stream (the
-  /// lowered RZZ core) into one diagonal 2q kernel. Applies only when
-  /// the configured noise injects nothing between physical gates (noise
-  /// events are barriers a fused block may not straddle); results are
-  /// bit-identical either way, this is purely a speed knob / kill
-  /// switch.
-  bool fuse_trajectory_gates = true;
   /// Evaluation-major (k-wide) lane policy for the TRAJECTORY loop:
   /// each execution evolves k noise trajectories in lockstep on a
   /// sim::BatchedStatevector lane group (uniform gates, per-lane Kraus
@@ -331,13 +323,14 @@ struct NoisyBackendOptions {
 };
 
 /// Device routing computed once per circuit structure and reused for
-/// every binding (see transpile::RoutedTemplate), bundled with the
-/// per-zero-angle-pattern lowered-stream cache
-/// (transpile::RoutedProgram). Shared by the two transpiling backends.
+/// every binding (see transpile::RoutedTemplate); each binding is then
+/// lowered and optimized from the template by
+/// transpile::transpile_with_angles. Shared by the two transpiling
+/// backends.
 class TranspileCache {
  public:
-  /// Routed program for the plan's structure, computing it on miss.
-  std::shared_ptr<const transpile::RoutedProgram> get(
+  /// Routed template for the plan's structure, computing it on miss.
+  std::shared_ptr<const transpile::RoutedTemplate> get(
       const exec::CompiledCircuit& plan, const noise::DeviceModel& device)
       QOC_EXCLUDES(mutex_);
 
@@ -351,7 +344,7 @@ class TranspileCache {
   std::unordered_map<
       std::uint64_t,
       std::vector<std::pair<std::string,
-                            std::shared_ptr<const transpile::RoutedProgram>>>>
+                            std::shared_ptr<const transpile::RoutedTemplate>>>>
       cache_ QOC_GUARDED_BY(mutex_);
   std::size_t entries_ QOC_GUARDED_BY(mutex_) = 0;
 };

@@ -17,7 +17,7 @@
 //     Each replica owns a drain lane (a worker thread with its own
 //     batch queue), so coalesced batches execute concurrently across
 //     replicas; a routing layer keeps each circuit structure sticky to
-//     one replica (structure affinity -- its transpile and pattern
+//     one replica (structure affinity -- its plan and transpile
 //     caches stay hot) and places new structures on the replica with
 //     the least queued work.
 //   * A circuit registry hands out ref-counted compile-once handles:

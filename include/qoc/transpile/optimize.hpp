@@ -22,21 +22,25 @@
 namespace qoc::transpile {
 
 /// True when `angle` is 0 (mod 2 pi) within the pipeline's tolerance.
-/// THE canonical zero test: lowering elision, merge_rz cleanup and the
-/// RoutedProgram replay validation all share this single definition --
-/// the cache's bit-identical-replay contract depends on them agreeing.
+/// THE canonical zero test: lowering elision and merge_rz cleanup share
+/// this single definition, so an angle the lowering keeps is never one
+/// merge_rz would drop on its own.
 bool rz_angle_is_zero(double angle);
+
+// Every pass takes its stream by value and works on it in place: a
+// temporary (e.g. lower_to_basis's result) is moved in, and ops move
+// rather than copy as the stream shrinks.
 
 /// Fuse consecutive RZ rotations per qubit (they commute with nothing in
 /// between on that qubit's timeline); elide zero rotations.
-std::vector<BoundOp> merge_rz(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> merge_rz(std::vector<BoundOp> ops);
 
 /// Cancel adjacent CX pairs with identical (control, target). A virtual
 /// RZ on the *control* qubit commutes through CX and does not block
 /// cancellation; any other interposed gate does.
-std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> cancel_cx(std::vector<BoundOp> ops);
 
 /// Iterate merge_rz + cancel_cx until no further reduction.
-std::vector<BoundOp> optimize(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> optimize(std::vector<BoundOp> ops);
 
 }  // namespace qoc::transpile

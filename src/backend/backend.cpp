@@ -67,11 +67,11 @@ std::vector<double> Backend::execute_expect_batch(
 // TranspileCache
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
+std::shared_ptr<const transpile::RoutedTemplate> TranspileCache::get(
     const exec::CompiledCircuit& plan, const noise::DeviceModel& device) {
   // Probe by the cheap structure hash, but NEVER trust a hash hit alone:
   // structure_hash() explicitly allows collisions, and serving a
-  // colliding entry would execute the wrong routed program. Every hit is
+  // colliding entry would execute the wrong routed circuit. Every hit is
   // verified against the full canonical signature.
   const common::MutexLock lock(mutex_);
   const auto it = cache_.find(plan.structure_hash());
@@ -89,8 +89,8 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
   // Route before touching the map: route_template throws for unroutable
   // circuits, and an early insert would leak an empty bucket the
   // entries_ cap never sees.
-  auto tmpl = std::make_shared<const transpile::RoutedProgram>(
-      transpile::route_template(plan.source(), device), device.n_qubits);
+  auto tmpl = std::make_shared<const transpile::RoutedTemplate>(
+      transpile::route_template(plan.source(), device));
   cache_[plan.structure_hash()].emplace_back(plan.signature(), tmpl);
   ++entries_;
   return tmpl;
@@ -157,13 +157,14 @@ void walk_lanes(const sim::LanePartition& part, std::size_t total,
       threads);
 }
 
-/// Lower every evaluation through the routed program, fanned over up to
+/// Lower every evaluation from the routed template, fanned over up to
 /// `threads` workers: make_step() runs once per chunk and returns the
 /// step called as step(k, t) with evaluation k's transpiled circuit.
 /// Shared by the two transpiling backends.
 template <typename MakeStep>
 void for_each_transpiled(const exec::CompiledCircuit& plan,
-                         const transpile::RoutedProgram& routed,
+                         const transpile::RoutedTemplate& tmpl,
+                         const noise::DeviceModel& device,
                          std::span<const exec::Evaluation> evals,
                          unsigned threads, const MakeStep& make_step) {
   parallel_for_chunked(
@@ -175,7 +176,7 @@ void for_each_transpiled(const exec::CompiledCircuit& plan,
           const auto& e = evals[k];
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
-          step(k, routed.transpile(angles));
+          step(k, transpile::transpile_with_angles(tmpl, angles, device));
         }
       },
       threads);
@@ -509,9 +510,9 @@ std::vector<double> DensityMatrixBackend::run_transpiled(
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto tmpl = transpile_cache_.get(plan, device_);
   std::vector<std::vector<double>> results(evals.size());
-  for_each_transpiled(plan, *routed, evals, threads, [&] {
+  for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
     return [&](std::size_t k, const transpile::Transpiled& t) {
       results[k] = run_transpiled(t, plan.num_qubits());
     };
@@ -523,7 +524,7 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto tmpl = transpile_cache_.get(plan, device_);
   const int n_logical = plan.num_qubits();
   const int n_phys = device_.n_qubits;
   const double scale = options_.noise_scale;
@@ -532,7 +533,7 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
   // then read from the final density matrix (deterministic oracle, so a
   // single execution is counted per evaluation).
   add_inferences(evals.size());
-  for_each_transpiled(plan, *routed, evals, threads, [&] {
+  for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
     return [&, meas = sim::DensityMatrix(n_phys)](
                std::size_t k, const transpile::Transpiled& t) mutable {
       const sim::DensityMatrix rho = evolve_transpiled(t);
@@ -662,23 +663,16 @@ void inject_depolarizing(State&& sv, int q0, int q1, double p, Prng& rng) {
 /// else is a pipeline bug and throws rather than degrading the noise
 /// model silently.
 struct TrajectoryProgram {
-  enum class K : std::uint8_t { Rz, Sx, X, Cx, Diag2q };
+  enum class K : std::uint8_t { Rz, Sx, X, Cx };
   struct Op {
     K k;
     int q0 = -1, q1 = -1;
-    cplx d0, d1;  // Rz diagonal; Diag2q applies (d0, d1, d1, d0)
+    cplx d0, d1;  // Rz diagonal
   };
   std::vector<Op> ops;
   Matrix sx = sim::gate_sx();
 
-  /// `fuse_cx_rz_cx` folds every adjacent CX a b; RZ(t) b; CX a b triple
-  /// (the lowered form of an RZZ core) into one Diag2q op. The fusion is
-  /// bit-identical -- each amplitude receives exactly one multiplication
-  /// by the same diagonal entry -- but it elides two noise injection
-  /// points, so callers must only enable it when the noise tables inject
-  /// nothing between physical gates (NoiseTables::gates_are_noiseless).
-  explicit TrajectoryProgram(const transpile::Transpiled& t,
-                             bool fuse_cx_rz_cx = false) {
+  explicit TrajectoryProgram(const transpile::Transpiled& t) {
     ops.reserve(t.ops.size());
     for (const auto& bop : t.ops) {
       Op op;
@@ -698,26 +692,6 @@ struct TrajectoryProgram {
         case GateKind::Cx:
           op.k = K::Cx;
           op.q1 = bop.qubits[1];
-          if (fuse_cx_rz_cx && ops.size() >= 2) {
-            // Match [Cx(a,b), Rz(b), Cx(a,b)] just completed by this op:
-            // CX conjugation of a target diagonal is diag(d0, d1, d1, d0)
-            // over (control, target).
-            const Op& rz = ops[ops.size() - 1];
-            const Op& cx = ops[ops.size() - 2];
-            if (cx.k == K::Cx && rz.k == K::Rz && cx.q0 == op.q0 &&
-                cx.q1 == op.q1 && rz.q0 == op.q1) {
-              Op fused;
-              fused.k = K::Diag2q;
-              fused.q0 = op.q0;
-              fused.q1 = op.q1;
-              fused.d0 = rz.d0;
-              fused.d1 = rz.d1;
-              ops.pop_back();
-              ops.pop_back();
-              ops.push_back(fused);
-              continue;
-            }
-          }
           break;
         default:
           throw std::logic_error("TrajectoryProgram: unexpected gate '" +
@@ -748,9 +722,6 @@ struct TrajectoryProgram {
       case K::Cx:
         sv.apply_cx(op.q0, op.q1);
         break;
-      case K::Diag2q:
-        sv.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
-        break;
     }
   }
 };
@@ -769,7 +740,6 @@ struct NoisyBackend::NoiseTables {
   int batch_lanes = -1;
   double p1 = 0.0, p2 = 0.0;
   bool relaxation = false;
-  bool fuse_gates = false;  // see TrajectoryProgram's fuse_cx_rz_cx
   std::vector<noise::KrausChannel> relax_1q, relax_2q;
   std::vector<noise::ReadoutError> readout;
 
@@ -783,7 +753,6 @@ struct NoisyBackend::NoiseTables {
     p1 = options.enable_gate_noise ? device.err_1q * scale : 0.0;
     p2 = options.enable_gate_noise ? device.err_2q * scale : 0.0;
     relaxation = options.enable_relaxation;
-    fuse_gates = options.fuse_trajectory_gates && gates_are_noiseless();
     if (options.enable_relaxation) {
       relax_1q.reserve(static_cast<std::size_t>(device.n_qubits));
       relax_2q.reserve(static_cast<std::size_t>(device.n_qubits));
@@ -802,14 +771,6 @@ struct NoisyBackend::NoiseTables {
     }
   }
 
-  /// True when no noise event is ever injected between physical gates:
-  /// every gate application in evolve() is then a pure unitary, which is
-  /// what licenses TrajectoryProgram's CX.RZ.CX fusion (a fused block
-  /// may not straddle a noise barrier).
-  bool gates_are_noiseless() const {
-    return p1 <= 0.0 && p2 <= 0.0 && !relaxation;
-  }
-
   /// Evolve one noisy trajectory of `program` into sv.
   void evolve(const TrajectoryProgram& program, sim::Statevector& sv,
               Prng& rng) const {
@@ -817,9 +778,6 @@ struct NoisyBackend::NoiseTables {
       program.apply(sv, op);
       // Virtual RZ: frame change only, no physical pulse, no error.
       if (op.k == TrajectoryProgram::K::Rz) continue;
-      // Fused CX.RZ.CX blocks only exist when gates_are_noiseless(), so
-      // their two elided injection points were no-ops by construction.
-      if (op.k == TrajectoryProgram::K::Diag2q) continue;
       if (op.q1 < 0) {
         inject_depolarizing(sv, op.q0, -1, p1, rng);
         if (relaxation)
@@ -856,8 +814,6 @@ struct NoisyBackend::NoiseTables {
       program.apply(bsv, op);
       // Virtual RZ: frame change only, no physical pulse, no error.
       if (op.k == TrajectoryProgram::K::Rz) continue;
-      // Fused blocks only exist when gates_are_noiseless().
-      if (op.k == TrajectoryProgram::K::Diag2q) continue;
       if (op.q1 < 0) {
         for (std::size_t l = 0; l < lane_rngs.size(); ++l)
           if (lane_rngs[l] != nullptr)
@@ -894,7 +850,7 @@ struct NoisyBackend::NoiseTables {
   void run_trajectories(const transpile::Transpiled& t, Prng exec_rng,
                         const MakeGroupStep& make_group,
                         const MakeScalarStep& make_scalar) const {
-    const TrajectoryProgram program(t, fuse_gates);
+    const TrajectoryProgram program(t);
     const auto n_traj = static_cast<std::size_t>(trajectories);
     const sim::LanePartition part =
         lane_partition(n_phys, n_traj, batch_lanes);
@@ -1082,7 +1038,7 @@ double NoisyBackend::expect_transpiled(
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto tmpl = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
   // Auto evaluations draw serials from the internal counter in
   // submission order; the counter advances by the full batch so auto
@@ -1090,7 +1046,7 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
   const std::uint64_t base =
       run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
   std::vector<std::vector<double>> results(evals.size());
-  for_each_transpiled(plan, *routed, evals, threads, [&] {
+  for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
     return [&](std::size_t k, const transpile::Transpiled& t) {
       results[k] = run_transpiled(t, tables, plan.num_qubits(),
                                   execution_serial(evals[k], base, k));
@@ -1103,7 +1059,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto tmpl = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
   // Same serials as execute_batch; each evaluation's groups then
   // consume its stream sequentially inside expect_transpiled, so results
@@ -1112,7 +1068,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
       run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
   add_inferences(evals.size() * observable.groups().size());
   std::vector<double> results(evals.size());
-  for_each_transpiled(plan, *routed, evals, threads, [&] {
+  for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
     return [&](std::size_t k, const transpile::Transpiled& t) {
       results[k] = expect_transpiled(t, tables, observable,
                                      execution_serial(evals[k], base, k));

@@ -222,7 +222,7 @@ struct SessionState {
 
   // Sticky structure -> replica assignment (outlives the buckets, which
   // are erased when drained: affinity must survive sparse traffic or
-  // the per-replica transpile/pattern caches go cold on every flush).
+  // the per-replica plan and transpile caches go cold on every flush).
   std::unordered_map<std::uint64_t, std::size_t> structure_affinity
       QOC_GUARDED_BY(mutex);
 
@@ -569,7 +569,7 @@ struct SessionState {
   /// Pick the lane for a flushed batch of `circuit_id` and count the
   /// decision on its slice. Structure affinity first: a structure that
   /// has routed before goes back to its replica, keeping that replica's
-  /// transpile / lowered-pattern caches hot. New structures are placed
+  /// plan and transpile caches hot. New structures are placed
   /// on the lane whose in-flight gauge is lowest (ties break to the
   /// lowest index, so single-replica sessions and idle pools route
   /// deterministically). Routing never changes results, so reading a

@@ -1,6 +1,9 @@
 #include "qoc/transpile/optimize.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 namespace qoc::transpile {
 
@@ -13,56 +16,55 @@ bool rz_angle_is_zero(double a) {
   return m < 1e-12 || two_pi - m < 1e-12;
 }
 
-std::vector<BoundOp> merge_rz(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> out;
-  out.reserve(ops.size());
-  for (const auto& op : ops) {
-    if (op.kind == GateKind::Rz && !out.empty()) {
-      // Walk back past ops on other qubits? No -- only merge if the
-      // immediately preceding op on this qubit's timeline is also RZ.
-      // Scan back while intervening ops do not touch this qubit.
-      const int q = op.qubits[0];
-      bool merged = false;
-      for (auto it = out.rbegin(); it != out.rend(); ++it) {
-        bool touches = false;
-        for (const int oq : it->qubits)
-          if (oq == q) touches = true;
-        if (!touches) continue;
-        if (it->kind == GateKind::Rz) {
-          it->angle += op.angle;
-          merged = true;
-        }
-        break;
+std::vector<BoundOp> merge_rz(std::vector<BoundOp> ops) {
+  // last[q]: index of the last kept op touching q. An RZ folds into that
+  // op when it is an RZ; otherwise the RZ is kept. Angles accumulate in
+  // stream order, and zero rotations are dropped only after every merge
+  // (a partial sum may pass through zero).
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t n_qubits = 0;
+  for (const auto& op : ops)
+    for (const int q : op.qubits)
+      n_qubits = std::max(n_qubits, static_cast<std::size_t>(q) + 1);
+  std::vector<std::size_t> last(n_qubits, kNone);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    BoundOp& op = ops[i];
+    if (op.kind == GateKind::Rz) {
+      const std::size_t prev = last[static_cast<std::size_t>(op.qubits[0])];
+      if (prev != kNone && ops[prev].kind == GateKind::Rz) {
+        ops[prev].angle += op.angle;
+        continue;
       }
-      if (merged) continue;
     }
-    out.push_back(op);
+    for (const int q : op.qubits) last[static_cast<std::size_t>(q)] = kept;
+    if (kept != i) ops[kept] = std::move(op);
+    ++kept;
   }
-  // Drop zero rotations.
-  std::vector<BoundOp> cleaned;
-  cleaned.reserve(out.size());
-  for (const auto& op : out)
-    if (!(op.kind == GateKind::Rz && rz_angle_is_zero(op.angle)))
-      cleaned.push_back(op);
-  return cleaned;
+  ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(kept), ops.end());
+  std::erase_if(ops, [](const BoundOp& op) {
+    return op.kind == GateKind::Rz && rz_angle_is_zero(op.angle);
+  });
+  return ops;
 }
 
-std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> out = ops;
+std::vector<BoundOp> cancel_cx(std::vector<BoundOp> ops) {
+  // Remove the first cancellable pair, then rescan from the start, until
+  // none is left.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].kind != GateKind::Cx) continue;
-      const int control = out[i].qubits[0];
-      const int target = out[i].qubits[1];
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind != GateKind::Cx) continue;
+      const int control = ops[i].qubits[0];
+      const int target = ops[i].qubits[1];
       // Scan forward for the partner CX; RZ on the control commutes.
-      for (std::size_t j = i + 1; j < out.size(); ++j) {
-        const auto& next = out[j];
+      for (std::size_t j = i + 1; j < ops.size(); ++j) {
+        const auto& next = ops[j];
         if (next.kind == GateKind::Cx && next.qubits[0] == control &&
             next.qubits[1] == target) {
-          out.erase(out.begin() + static_cast<std::ptrdiff_t>(j));
-          out.erase(out.begin() + static_cast<std::ptrdiff_t>(i));
+          ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(j));
+          ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
           changed = true;
           break;
         }
@@ -77,16 +79,14 @@ std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops) {
       if (changed) break;
     }
   }
-  return out;
+  return ops;
 }
 
-std::vector<BoundOp> optimize(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> cur = ops;
+std::vector<BoundOp> optimize(std::vector<BoundOp> ops) {
   for (;;) {
-    const std::size_t before = cur.size();
-    cur = merge_rz(cur);
-    cur = cancel_cx(cur);
-    if (cur.size() >= before) return cur;
+    const std::size_t before = ops.size();
+    ops = cancel_cx(merge_rz(std::move(ops)));
+    if (ops.size() >= before) return ops;
   }
 }
 

@@ -185,39 +185,6 @@ TEST(NoisyBackend, SuccessiveRunsDiffer) {
   EXPECT_NE(f1[0], f2[0]);
 }
 
-TEST(NoisyBackend, TrajectoryCxRzCxFusionIsBitIdentical) {
-  // With gate noise and relaxation disabled the trajectory stream has no
-  // noise barriers, so the CX.RZ.CX triples of lowered RZZ gates fuse
-  // into one diagonal 2q kernel. The fusion must be invisible: same
-  // results bit-for-bit, same RNG consumption.
-  Circuit c(3);
-  c.ry(0, ParamRef::trainable(0));
-  c.rzz(0, 1, ParamRef::trainable(1));
-  c.rzz(1, 2, ParamRef::trainable(2));
-  c.cx(0, 2);
-  const std::vector<double> theta = {0.3, 0.9, -1.2};
-
-  auto make = [&](bool fuse, bool noisy) {
-    NoisyBackendOptions opt;
-    opt.trajectories = 4;
-    opt.shots = 128;
-    opt.seed = 99;
-    opt.enable_gate_noise = noisy;
-    opt.enable_relaxation = noisy;
-    opt.fuse_trajectory_gates = fuse;
-    return NoisyBackend(DeviceModel::ibmq_manila(), opt);
-  };
-
-  for (const bool noisy : {false, true}) {
-    NoisyBackend fused = make(true, noisy);
-    NoisyBackend unfused = make(false, noisy);
-    const auto a = fused.run(c, theta, {});
-    const auto b = unfused.run(c, theta, {});
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
 // One noisy execution with an explicit trajectory lane width; everything
 // else (seed, device, circuit, bindings) held fixed so widths can be
 // compared bitwise.

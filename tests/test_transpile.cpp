@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/circuit/layers.hpp"
 #include "qoc/common/prng.hpp"
+#include "qoc/exec/compiled_circuit.hpp"
+#include "qoc/qml/qnn.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/statevector.hpp"
-#include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
 namespace {
@@ -264,7 +269,7 @@ TEST(FullTranspile, DurationPositiveAndScalesWithDepth) {
   EXPECT_GT(estimated_duration_s(b, device), estimated_duration_s(a, device));
 }
 
-// ---- RoutedProgram: the zero-angle-pattern lowered-stream cache ------------
+// ---- Template path vs full pipeline ---------------------------------------------
 
 /// Bitwise equality of two transpiled streams (ops, layout, stats).
 void expect_transpiled_equal(const Transpiled& a, const Transpiled& b) {
@@ -284,18 +289,87 @@ void expect_transpiled_equal(const Transpiled& a, const Transpiled& b) {
   EXPECT_EQ(a.stats.depth, b.stats.depth);
 }
 
-/// Source angles exactly as the cached path receives them.
-std::vector<double> source_angles_of(const Circuit& c,
-                                     const std::vector<double>& theta) {
-  std::vector<double> out;
-  for (const auto& bop : bind_circuit(c, theta, {})) out.push_back(bop.angle);
-  return out;
+/// One circuit with the bindings it is checked under.
+struct TemplateCase {
+  std::string name;
+  Circuit circuit;
+  DeviceModel device;
+  std::vector<std::vector<double>> thetas;
+  std::vector<std::vector<double>> inputs;  // one per theta, or empty
+};
+
+/// Every gate kind lower_1q / lower_2q handles, plus CCX (expanded before
+/// routing).
+constexpr GateKind kAllKinds[] = {
+    GateKind::I,   GateKind::X,   GateKind::Y,    GateKind::Z,
+    GateKind::H,   GateKind::S,   GateKind::Sdg,  GateKind::T,
+    GateKind::Tdg, GateKind::Sx,  GateKind::Rx,   GateKind::Ry,
+    GateKind::Rz,  GateKind::Phase, GateKind::Cx, GateKind::Cz,
+    GateKind::Swap, GateKind::Rxx, GateKind::Ryy, GateKind::Rzz,
+    GateKind::Rzx, GateKind::Crx, GateKind::Cry,  GateKind::Crz,
+    GateKind::Cp,  GateKind::Ccx,
+};
+constexpr int kGenThetas = 6;
+constexpr int kGenInputs = 3;
+
+/// Seeded random circuit over kAllKinds. Rotation angles come from a
+/// trainable parameter, a scaled and offset input, or a constant that is
+/// sometimes exactly 0 or +-pi/2.
+Circuit random_circuit(Prng& rng, int n_qubits, int n_ops) {
+  Circuit c(n_qubits);
+  for (int i = 0; i < n_ops; ++i) {
+    const GateKind kind = kAllKinds[rng.uniform_int(std::size(kAllKinds))];
+    std::vector<int> qubits;
+    while (static_cast<int>(qubits.size()) < qoc::circuit::gate_arity(kind)) {
+      const int q = static_cast<int>(rng.uniform_int(n_qubits));
+      if (std::find(qubits.begin(), qubits.end(), q) == qubits.end())
+        qubits.push_back(q);
+    }
+    ParamRef p;
+    if (qoc::circuit::gate_is_parameterised(kind)) {
+      const double special[] = {0.0, kPi / 2.0, -kPi / 2.0};
+      switch (rng.uniform_int(4)) {
+        case 0:
+          p = ParamRef::input(static_cast<int>(rng.uniform_int(kGenInputs)),
+                              rng.uniform() < 0.5 ? 1.0 : 0.5,
+                              rng.uniform() < 0.5 ? 0.0 : kPi / 2.0);
+          break;
+        case 1:
+          p = ParamRef::constant(rng.uniform() < 0.5
+                                     ? special[rng.uniform_int(3)]
+                                     : rng.uniform(-kPi, kPi));
+          break;
+        default:
+          p = ParamRef::trainable(
+              static_cast<int>(rng.uniform_int(kGenThetas)));
+          break;
+      }
+    }
+    c.add(kind, std::move(qubits), p);
+  }
+  return c;
+}
+
+/// Random angles with exact zeros, +-pi/2 and +-pi/2 parameter shifts.
+std::vector<double> random_angles(Prng& rng, int n) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (auto& x : v) {
+    switch (rng.uniform_int(5)) {
+      case 0: x = 0.0; break;
+      case 1: x = rng.uniform() < 0.5 ? kPi / 2.0 : -kPi / 2.0; break;
+      case 2: x = rng.uniform(-kPi, kPi) + kPi / 2.0; break;
+      case 3: x = rng.uniform(-kPi, kPi) - kPi / 2.0; break;
+      default: x = rng.uniform(-kPi, kPi); break;
+    }
+  }
+  return v;
 }
 
 /// Representative mix: every lowering recipe class (affine RZ family,
 /// ZYZ rotations incl. scaled Cry, fixed-gate conjugations, routed
-/// SWAPs from the non-adjacent pair on a line device).
-Circuit lowering_mix_circuit() {
+/// SWAPs from the non-adjacent pair on a line device), bound with
+/// progressively pruned parameters.
+TemplateCase lowering_mix_case() {
   Circuit c(4);
   c.h(0);
   c.rx(1, ParamRef::trainable(0));
@@ -308,94 +382,105 @@ Circuit lowering_mix_circuit() {
   c.cz(1, 3);
   c.swap(0, 2);
   c.ryy(2, 3, ParamRef::trainable(7));
-  return c;
-}
-
-TEST(RoutedProgram, BitIdenticalToFullPipelineAcrossBindings) {
-  const Circuit c = lowering_mix_circuit();
-  const auto device = DeviceModel::ibmq_manila();
-  const RoutedProgram prog(route_template(c, device), device.n_qubits);
-
   Prng rng(77);
-  std::vector<std::vector<double>> bindings;
+  std::vector<std::vector<double>> thetas;
   for (int k = 0; k < 4; ++k) {
     std::vector<double> theta(8);
     for (auto& v : theta) v = rng.uniform(-3, 3);
-    // Prune a few parameters to exercise distinct zero patterns.
     if (k >= 1) theta[1] = 0.0;
     if (k >= 2) theta[3] = theta[6] = 0.0;
-    bindings.push_back(std::move(theta));
+    thetas.push_back(std::move(theta));
   }
-  // Revisit every pattern with fresh values: those calls are cache HITS
-  // and must still match the uncached pipeline bit-for-bit.
-  for (int round = 0; round < 2; ++round) {
-    for (auto theta : bindings) {
-      for (auto& v : theta)
-        if (v != 0.0) v += 0.1 * round;
-      const auto expected = transpile(c, theta, {}, device);
-      const auto got = prog.transpile(source_angles_of(c, theta));
-      expect_transpiled_equal(got, expected);
-    }
-  }
-  EXPECT_EQ(prog.cached_patterns(), 3u);  // k=0; k=1; k=2,3 share
+  return {"lowering mix", std::move(c), DeviceModel::ibmq_manila(),
+          std::move(thetas), {}};
 }
 
-TEST(RoutedProgram, DecisionFlipFallsBackToFreshTrace) {
-  // rz(theta0) and an adjacent constant rz(-0.7) merge; for theta0 = 0.7
-  // the merged rotation is zero and the pair (plus the then-cancellable
-  // CX pair around it) vanishes structurally. A binding with the SAME
-  // zero-angle pattern but a different value must not inherit that
-  // structure: the replay detects the flipped decision and re-traces.
+/// rz(theta) merges with an adjacent constant rz(-0.7): at theta = 0.7
+/// the merged rotation is zero, and it and the then-adjacent CX pair
+/// vanish; at theta = 0.5 nothing cancels.
+TemplateCase merged_rz_case() {
   Circuit c(2);
   c.rz(0, ParamRef::trainable(0));
   c.rz(0, ParamRef::constant(-0.7));
   c.cx(0, 1);
   c.ry(1, ParamRef::trainable(1));
-  const auto device = DeviceModel::ibmq_manila();
-
-  for (const bool cancel_first : {true, false}) {
-    const RoutedProgram prog(route_template(c, device), device.n_qubits);
-    const std::vector<double> cancelling = {0.7, 0.4};
-    const std::vector<double> generic = {0.5, 0.4};  // same zero pattern
-    const auto& first = cancel_first ? cancelling : generic;
-    const auto& second = cancel_first ? generic : cancelling;
-    for (const auto* theta : {&first, &second}) {
-      const auto expected = transpile(c, *theta, {}, device);
-      const auto got = prog.transpile(source_angles_of(c, *theta));
-      expect_transpiled_equal(got, expected);
-    }
-    // The two bindings disagree on the merged-RZ structure: the cached
-    // plan serves the first, the second falls back.
-    const auto a = transpile(c, cancelling, {}, device);
-    const auto b = transpile(c, generic, {}, device);
-    EXPECT_NE(a.ops.size(), b.ops.size());
-  }
+  return {"merged rz", std::move(c), DeviceModel::ibmq_manila(),
+          {{0.7, 0.4}, {0.5, 0.4}}, {}};
 }
 
-TEST(RoutedProgram, MatchesTemplatePathOnTaskScaleCircuit) {
-  // A full hardware-efficient stack through routing with SWAP insertion:
-  // cached path vs transpile_with_angles vs full transpile, all three
-  // bitwise identical per binding.
+/// A hardware-efficient stack whose RZZ ring needs SWAPs on santiago.
+TemplateCase task_scale_case() {
   Circuit c(4);
   qoc::circuit::add_ry_layer(c);
   qoc::circuit::add_rz_layer(c);
   qoc::circuit::add_rzz_ring_layer(c);
   qoc::circuit::add_ry_layer(c);
-  const auto device = DeviceModel::ibmq_santiago();
-  const auto tmpl = route_template(c, device);
-  const RoutedProgram prog(route_template(c, device), device.n_qubits);
-
   Prng rng(5);
+  std::vector<std::vector<double>> thetas;
   for (int k = 0; k < 3; ++k) {
     std::vector<double> theta(static_cast<std::size_t>(c.num_trainable()));
     for (auto& v : theta) v = rng.uniform(-3, 3);
-    const auto angles = source_angles_of(c, theta);
-    const auto full = transpile(c, theta, {}, device);
-    const auto via_template = transpile_with_angles(tmpl, angles, device);
-    const auto via_cache = prog.transpile(angles);
-    expect_transpiled_equal(via_template, full);
-    expect_transpiled_equal(via_cache, full);
+    thetas.push_back(std::move(theta));
   }
+  return {"task scale", std::move(c), DeviceModel::ibmq_santiago(),
+          std::move(thetas), {}};
+}
+
+TEST(TemplatePath, MatchesFullPipeline) {
+  // transpile_with_angles(route_template(c, d), angles, d) -- the path
+  // every transpiling backend evaluation takes -- must equal the full
+  // transpile(c, theta, input, d) bit for bit, on generated circuits
+  // and on three pinned ones.
+  std::vector<TemplateCase> cases;
+  cases.push_back(lowering_mix_case());
+  cases.push_back(merged_rz_case());
+  cases.push_back(task_scale_case());
+  Prng rng(2026);
+  std::vector<bool> kinds_seen(std::size(kAllKinds), false);
+  for (int i = 0; i < 60; ++i) {
+    TemplateCase tc{"generated " + std::to_string(i),
+                    random_circuit(rng, 4 + i % 2, 24),
+                    DeviceModel::ibmq_manila(),
+                    {},
+                    {}};
+    for (const auto& op : tc.circuit.ops())
+      for (std::size_t k = 0; k < std::size(kAllKinds); ++k)
+        if (op.kind == kAllKinds[k]) kinds_seen[k] = true;
+    for (int b = 0; b < 8; ++b) {
+      tc.thetas.push_back(random_angles(rng, kGenThetas));
+      tc.inputs.push_back(random_angles(rng, kGenInputs));
+    }
+    cases.push_back(std::move(tc));
+  }
+  for (std::size_t k = 0; k < std::size(kAllKinds); ++k)
+    EXPECT_TRUE(kinds_seen[k]) << qoc::circuit::gate_name(kAllKinds[k]);
+
+  std::size_t swaps = 0;
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    const auto tmpl = route_template(tc.circuit, tc.device);
+    swaps += tmpl.n_swaps_inserted;
+    for (std::size_t b = 0; b < tc.thetas.size(); ++b) {
+      SCOPED_TRACE("binding " + std::to_string(b));
+      const std::vector<double> input =
+          tc.inputs.empty() ? std::vector<double>{} : tc.inputs[b];
+      const auto expected =
+          transpile(tc.circuit, tc.thetas[b], input, tc.device);
+      std::vector<double> angles;
+      for (const auto& bop : bind_circuit(tc.circuit, tc.thetas[b], input))
+        angles.push_back(bop.angle);
+      expect_transpiled_equal(
+          transpile_with_angles(tmpl, angles, tc.device), expected);
+    }
+  }
+  EXPECT_GT(swaps, 0u);  // the line devices forced SWAP insertion
+
+  // The pinned merged-rz bindings really disagree in structure.
+  const auto& merged = cases[1];
+  EXPECT_LT(transpile(merged.circuit, merged.thetas[0], {}, merged.device)
+                .ops.size(),
+            transpile(merged.circuit, merged.thetas[1], {}, merged.device)
+                .ops.size());
 }
 
 TEST(Stats, CountsByKind) {
@@ -412,6 +497,91 @@ TEST(Stats, CountsByKind) {
   EXPECT_EQ(s.physical_1q(), 3u);
   // Depth ignores the virtual RZ: sx(0), then cx, then x -> depth 3.
   EXPECT_EQ(s.depth, 3u);
+}
+
+// ---- Stream digest: the paper task models on their devices ------------------
+
+/// 64-bit FNV-1a over 8-byte little-endian words.
+struct StreamDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  /// Kind, qubits and angle bit pattern of every op, then the layout,
+  /// the SWAP count and the stats.
+  void add(const Transpiled& t) {
+    add(t.ops.size());
+    for (const auto& op : t.ops) {
+      add(static_cast<std::uint64_t>(op.kind));
+      add(op.qubits.size());
+      for (const int q : op.qubits) add(static_cast<std::uint64_t>(q));
+      add(std::bit_cast<std::uint64_t>(op.angle));
+    }
+    for (const int l : t.final_layout) add(static_cast<std::uint64_t>(l));
+    add(t.n_swaps_inserted);
+    add(t.stats.n_rz);
+    add(t.stats.n_sx);
+    add(t.stats.n_x);
+    add(t.stats.n_cx);
+    add(t.stats.n_other);
+    add(t.stats.depth);
+  }
+};
+
+TEST(TranspileGolden, PaperTaskStreamDigest) {
+  // Pins the transpiled op streams of the five paper task models on
+  // their paper devices, bit for bit, over seeded bindings as the
+  // training loop produces them: random parameters and inputs with
+  // entries zeroed (pruned parameters, dark pixels), whole zero
+  // bindings, and +-pi/2 parameter shifts on single source ops. Any
+  // change to binding, routing, lowering or the optimize passes that
+  // moves one angle bit changes the digest.
+  struct TaskDevice {
+    qoc::qml::QnnModel (*make)();
+    const char* device;
+  };
+  const TaskDevice tasks[] = {
+      {qoc::qml::make_mnist2_model, "ibmq_jakarta"},
+      {qoc::qml::make_mnist4_model, "ibmq_jakarta"},
+      {qoc::qml::make_fashion4_model, "ibmq_manila"},
+      {qoc::qml::make_fashion2_model, "ibmq_santiago"},
+      {qoc::qml::make_vowel4_model, "ibmq_lima"},
+  };
+  constexpr int kBindingsPerTask = 400;
+  StreamDigest digest;
+  Prng rng(0x5EED'D16E57ULL);
+  std::vector<double> angles;
+  for (const auto& task : tasks) {
+    const auto model = task.make();
+    const auto device = DeviceModel::by_name(task.device);
+    const auto& plan = model.plan();
+    const auto tmpl = route_template(model.circuit(), device);
+    std::vector<std::size_t> shiftable;
+    for (std::size_t i = 0; i < model.circuit().num_ops(); ++i)
+      if (qoc::circuit::gate_is_parameterised(model.circuit().op(i).kind))
+        shiftable.push_back(i);
+    std::vector<double> theta(static_cast<std::size_t>(model.num_params()));
+    std::vector<double> input(static_cast<std::size_t>(model.num_inputs()));
+    for (int b = 0; b < kBindingsPerTask; ++b) {
+      const bool all_zero = b % 10 == 0;
+      for (auto* v : {&theta, &input})
+        for (auto& x : *v)
+          x = all_zero || rng.uniform() < 0.25 ? 0.0 : rng.uniform(-kPi, kPi);
+      std::size_t shift_op = qoc::exec::Evaluation::kNoShift;
+      double shift = 0.0;
+      if (b % 2 == 1) {
+        shift_op = shiftable[rng.uniform_int(shiftable.size())];
+        shift = rng.uniform() < 0.5 ? kPi / 2.0 : -kPi / 2.0;
+      }
+      plan.resolve_source_angles(theta, input, shift_op, shift, angles);
+      digest.add(transpile_with_angles(tmpl, angles, device));
+    }
+  }
+  EXPECT_EQ(digest.h, 0xad3f72c081ce9878ULL)
+      << std::hex << "digest 0x" << digest.h;
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ says what*. This linter makes them mechanical:
                       include/: rand()/srand()/std::random_device/
                       time()/system_clock. The serving determinism
                       contract (submission-pinned PRNG streams,
-                      replayable transpile traces) dies the moment any
+                      bitwise-replayable serve traces) dies the moment any
                       code path draws from the environment.
 
   naked-threads       `std::thread` construction is confined to the
