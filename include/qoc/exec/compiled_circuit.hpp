@@ -13,16 +13,12 @@
 //   * structured gates (CX, CZ, SWAP, Paulis, diagonals) dispatch to the
 //     specialized sim::Statevector kernels instead of the dense path,
 //   * every angle-bearing gate gets a *parameter slot* whose value is
-//     resolved from (theta, input) in one pass per evaluation, and
-//   * optionally, runs of adjacent single-qubit gates are fused into one
-//     2x2 application (CompileOptions::fuse_1q).
+//     resolved from (theta, input) in one pass per evaluation.
 //
-// Executing a plan in exact mode is bit-identical to the uncompiled path:
-// the specialized kernels perform the same arithmetic with known-zero
-// terms dropped, which can only change the sign of zeros (invisible to
-// probabilities and expectation values). 1q fusion re-associates matrix
-// products and therefore changes results at the ulp level, so it is OFF
-// by default and opted into by throughput paths only.
+// Executing a plan is bit-identical to the uncompiled path: the
+// specialized kernels perform the same arithmetic with known-zero terms
+// dropped, which can only change the sign of zeros (invisible to
+// probabilities and expectation values).
 //
 // Plans also carry a canonical structural signature. Backends key their
 // per-structure caches (e.g. the NoisyBackend's routed transpilation
@@ -44,14 +40,6 @@ class BatchedStatevector;
 
 namespace qoc::exec {
 
-struct CompileOptions {
-  /// Fuse runs of adjacent single-qubit gates on the same qubit (gates
-  /// separated only by ops on other qubits commute into one run) into a
-  /// single 2x2 application. Changes results at the ulp level, so keep it
-  /// off where bit-exact parity with the uncompiled path matters.
-  bool fuse_1q = false;
-};
-
 /// Kernel selector for one op of the flat stream.
 enum class OpCode : std::uint8_t {
   PauliX,   // specialized Pauli kernels
@@ -61,12 +49,11 @@ enum class OpCode : std::uint8_t {
   Cz,
   Swap,
   Diag1q,   // cached diagonal 2x2 (Z/S/Sdg/T/Tdg)
-  Fixed1q,  // cached dense 2x2 (H, SX, fused fixed runs)
+  Fixed1q,  // cached dense 2x2 (H, SX, other fixed 1q gates)
   Fixed2q,  // cached dense 4x4
   FixedK,   // cached 2^k x 2^k, k >= 3 (CCX)
   Rot1q,    // angle-dependent 1q gate, built per evaluation from a slot
   Rot2q,    // angle-dependent 2q gate
-  Fused1q,  // product of a 1q run with >= 1 angle-dependent member
 };
 
 struct CompiledOp {
@@ -76,15 +63,7 @@ struct CompiledOp {
   std::int32_t q1 = -1;      // second operand (2q ops)
   std::int32_t slot = -1;    // angle slot (Rot1q / Rot2q)
   std::int32_t matrix = -1;  // index into the fixed-matrix cache
-  std::int32_t group = -1;   // fusion group (Fused1q)
   std::vector<int> qubits;   // operand list for FixedK only
-};
-
-/// One member of a Fused1q group, in application order.
-struct FusedElem {
-  circuit::GateKind kind = circuit::GateKind::I;
-  std::int32_t slot = -1;    // angle slot, or -1 when `matrix` is set
-  std::int32_t matrix = -1;  // fixed-matrix cache index
 };
 
 /// How one angle slot resolves at bind time.
@@ -138,14 +117,12 @@ class CompiledCircuit {
  public:
   /// Lower `c` into a plan. The circuit is copied into the plan, so the
   /// plan owns everything it needs for its lifetime.
-  static CompiledCircuit compile(const circuit::Circuit& c,
-                                 CompileOptions options = {});
+  static CompiledCircuit compile(const circuit::Circuit& c);
 
   int num_qubits() const { return source_.num_qubits(); }
   int num_trainable() const { return source_.num_trainable(); }
   int num_inputs() const { return source_.num_inputs(); }
   const circuit::Circuit& source() const { return source_; }
-  const CompileOptions& options() const { return options_; }
 
   const std::vector<CompiledOp>& ops() const { return ops_; }
   std::size_t num_slots() const { return slots_.size(); }
@@ -204,14 +181,11 @@ class CompiledCircuit {
   CompiledCircuit() : source_(1) {}
 
   circuit::Circuit source_;
-  CompileOptions options_;
   std::vector<CompiledOp> ops_;
   std::vector<AngleSlot> slots_;
   std::vector<std::int32_t> slot_of_src_op_;  // -1 for angle-free ops
   std::vector<linalg::Matrix> matrices_;      // fixed-gate cache
-  std::vector<circuit::GateKind> matrix_kinds_;  // cache key (I = no reuse)
-  std::vector<FusedElem> fused_;              // flattened fusion groups
-  std::vector<std::pair<std::int32_t, std::int32_t>> groups_;  // [begin,end)
+  std::vector<circuit::GateKind> matrix_kinds_;  // cache key per matrix
   std::string signature_;
   std::uint64_t hash_ = 0;
 };

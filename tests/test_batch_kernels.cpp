@@ -27,9 +27,9 @@ using qoc::sim::batch_lane_width;
 constexpr std::uint64_t kSeed = 0xBADC0FFEEULL;
 
 // A structurally rich circuit on n qubits: fixed gates (structured and
-// dense), diagonal and dense rotations, controlled rotations, a fused
-// 1q run and -- for n >= 3 -- a Ccx, so every apply_batched dispatch arm
-// executes. Uses n trainable angles plus 2 encoder inputs.
+// dense), diagonal and dense rotations, controlled rotations, a
+// multi-op diagonal run and -- for n >= 3 -- a Ccx, so every apply_batched
+// dispatch arm executes. Uses n trainable angles plus 2 encoder inputs.
 Circuit dense_circuit(int n) {
   Circuit c(n);
   for (int q = 0; q < n; ++q) c.h(q);
@@ -38,7 +38,9 @@ Circuit dense_circuit(int n) {
   c.rx(0, ParamRef::input(0, 0.5, 0.1));
   c.rz(n - 1, ParamRef::trainable(0));
   c.phase(0, ParamRef::trainable((n > 1) ? 1 : 0));
-  // Adjacent s/t/sx on one qubit: exercises the Fused1q product path.
+  // Adjacent s/t/sx on one qubit: s and t extend the diagonal run the
+  // rz/phase above start, and sx (followed by a Pauli, so it cannot pair)
+  // takes the dense Fixed1q arm of apply_batched.
   c.s(0);
   c.t(0);
   c.sx(0);

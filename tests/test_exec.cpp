@@ -165,50 +165,6 @@ TEST(CompiledCircuit, ShiftedEvaluationMatchesWithOpOffsetBitwise) {
   }
 }
 
-TEST(CompiledCircuit, FusionParityWithinTolerance) {
-  Prng rng(13);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int n = 2 + static_cast<int>(rng.uniform_int(3));
-    const Circuit c = random_circuit(n, 30, rng);
-    const auto theta = random_vector(c.num_trainable(), rng);
-    const auto input = random_vector(c.num_inputs(), rng);
-
-    const auto ref = reference_statevector(c, theta, input);
-
-    exec::CompileOptions opts;
-    opts.fuse_1q = true;
-    const auto plan = exec::CompiledCircuit::compile(c, opts);
-    std::vector<double> angles;
-    plan.resolve_slots(theta, input, exec::Evaluation::kNoShift, 0.0, angles);
-    sim::Statevector sv(n);
-    plan.apply(sv, angles);
-
-    for (std::size_t i = 0; i < ref.dim(); ++i) {
-      EXPECT_NEAR(ref.amplitude(i).real(), sv.amplitude(i).real(), 1e-12);
-      EXPECT_NEAR(ref.amplitude(i).imag(), sv.amplitude(i).imag(), 1e-12);
-    }
-  }
-}
-
-TEST(CompiledCircuit, FusionReducesOpCount) {
-  // Three rotations on one qubit, separated only by gates on other
-  // qubits, must collapse into a single fused op.
-  Circuit c(2);
-  c.rx(0, ParamRef::trainable(0));
-  c.h(1);
-  c.ry(0, ParamRef::trainable(1));
-  c.x(1);
-  c.rz(0, ParamRef::trainable(2));
-
-  exec::CompileOptions opts;
-  opts.fuse_1q = true;
-  const auto plan = exec::CompiledCircuit::compile(c, opts);
-  std::size_t on_q0 = 0;
-  for (const auto& op : plan.ops())
-    if (op.q0 == 0) ++on_q0;
-  EXPECT_EQ(on_q0, 1u);
-}
-
 TEST(CompiledCircuit, SignatureTracksStructureAndBindings) {
   Prng rng(14);
   const Circuit a = random_circuit(3, 15, rng);

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "qoc/backend/backend.hpp"
@@ -135,14 +137,28 @@ TEST(Replay, BinaryRoundTripIsStableAndBitwise) {
   EXPECT_EQ(replay::write_binary(decoded), bytes);
 }
 
-TEST(Replay, TextRoundTripIsBitwise) {
+// The text form is a write-only dump: it must describe the same log the
+// binary form carries, and list every record exactly once.
+TEST(Replay, TextDumpDescribesEveryRecord) {
   const replay::TraceLog log = record_exact_session();
   const std::string text = replay::write_text(log);
-  const replay::TraceLog decoded = replay::parse_text(text);
-  EXPECT_TRUE(replay::logs_equal(log, decoded));
-  EXPECT_EQ(replay::write_text(decoded), text);
-  // And the two forms describe the same log.
-  EXPECT_EQ(replay::write_binary(decoded), replay::write_binary(log));
+  EXPECT_EQ(replay::write_text(replay::read_binary(replay::write_binary(log))),
+            text);
+
+  std::istringstream lines(text);
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "qoctrace 2");
+  std::size_t circuits = 0, observables = 0, jobs = 0;
+  while (std::getline(lines, line)) {
+    const std::string keyword = line.substr(0, line.find(' '));
+    if (keyword == "circuit") ++circuits;
+    if (keyword == "observable") ++observables;
+    if (keyword == "job") ++jobs;
+  }
+  EXPECT_EQ(circuits, log.circuits.size());
+  EXPECT_EQ(observables, log.observables.size());
+  EXPECT_EQ(jobs, log.jobs.size());
 }
 
 // The acceptance criterion: a recorded mixed session replays bitwise
@@ -304,13 +320,17 @@ TEST(Replay, RejectsDanglingIds) {
 
 TEST(Replay, RejectsVersionSkew) {
   const auto bytes = replay::write_binary(record_exact_session());
-  auto skewed = bytes;
-  skewed[8] = static_cast<std::uint8_t>(replay::kTraceVersion + 1);
-  try {
-    (void)replay::read_binary(skewed);
-    FAIL() << "version-skewed log accepted";
-  } catch (const replay::TraceError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // A future version, and version 1: the retired layout whose circuit
+  // records carried a compile-option byte.
+  for (const std::uint32_t version : {replay::kTraceVersion + 1, 1u}) {
+    auto skewed = bytes;
+    skewed[8] = static_cast<std::uint8_t>(version);
+    try {
+      (void)replay::read_binary(skewed);
+      ADD_FAILURE() << "log stamped version " << version << " accepted";
+    } catch (const replay::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
   }
 }
 
@@ -345,17 +365,6 @@ TEST(Replay, RejectsEverySingleByteCorruption) {
     EXPECT_THROW((void)replay::read_binary(corrupt), replay::TraceError)
         << "accepted a log with byte " << i << " corrupted";
   }
-}
-
-TEST(Replay, RejectsMalformedTextLogs) {
-  const replay::TraceLog log = record_exact_session();
-  const std::string text = replay::write_text(log);
-  EXPECT_THROW((void)replay::parse_text("not a trace"), replay::TraceError);
-  EXPECT_THROW((void)replay::parse_text("qoctrace 999"), replay::TraceError);
-  EXPECT_THROW((void)replay::parse_text(text.substr(0, text.size() / 2)),
-               replay::TraceError);
-  EXPECT_THROW((void)replay::parse_text(text + "\ngarbage trailing"),
-               replay::TraceError);
 }
 
 // Paced mode re-submits on the recorded timeline; results are identical
