@@ -16,6 +16,12 @@
 //  * DensityMatrixBackend -- the same device pipeline with noise applied
 //    exactly: the deterministic oracle NoisyBackend is validated against.
 //
+// The two device backends simulate only the routed circuit's active
+// register (transpile::active_register: the physical qubits it touches,
+// in ascending order), never the whole device. Idle qubits stay exactly
+// |0>, and the ascending order keeps every result bit-identical to a
+// full-device simulation (see CompactRegister in backend.cpp).
+//
 // All three count every run() and every run_batch() evaluation as one
 // "inference", the x-axis of Fig. 6; expect_batch() counts one per
 // measured execution (see inference_count()).
@@ -352,9 +358,11 @@ class TranspileCache {
 /// Exact noisy execution via density-matrix evolution: the same device
 /// model and transpile pipeline as NoisyBackend, but noise channels are
 /// applied exactly (no trajectory sampling, no shot noise). Memory is
-/// O(4^n) so it is limited to devices with <= 12 qubits; it serves as the
-/// ground truth the trajectory backend is validated against, and as a
-/// deterministic noisy-expectation oracle for tests and analysis.
+/// O(4^n) in the routed register, so a batch whose circuit routes onto
+/// more than 12 physical qubits throws std::invalid_argument (the device
+/// itself may be larger); it serves as the ground truth the trajectory
+/// backend is validated against, and as a deterministic
+/// noisy-expectation oracle for tests and analysis.
 class DensityMatrixBackend final : public Backend {
  public:
   struct Options {
@@ -386,10 +394,6 @@ class DensityMatrixBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  sim::DensityMatrix evolve_transpiled(const transpile::Transpiled& t) const;
-  std::vector<double> run_transpiled(const transpile::Transpiled& t,
-                                     int n_logical) const;
-
   noise::DeviceModel device_;
   Options options_;
   TranspileCache transpile_cache_;
@@ -425,10 +429,11 @@ class NoisyBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// Batch-invariant trajectory configuration (depolarizing rates,
-  /// per-qubit relaxation channels, readout-error models and the
-  /// trajectory loop's shape): built once per run_batch / expect_batch
-  /// call instead of once per evaluation. Defined in backend.cpp.
+  /// Batch-invariant trajectory configuration (the simulated register,
+  /// depolarizing rates, per-qubit relaxation channels, readout-error
+  /// models and the trajectory loop's shape): built once per run_batch /
+  /// expect_batch call instead of once per evaluation. Defined in
+  /// backend.cpp.
   struct NoiseTables;
 
   /// Independent RNG stream for one execution; trajectories split from

@@ -77,6 +77,13 @@ struct RoutingResult {
 RoutingResult route(const std::vector<BoundOp>& ops, int n_logical,
                     const noise::DeviceModel& device);
 
+/// The register a routed circuit acts on: every physical qubit that a
+/// routed op touches or final_layout names, in ascending physical order.
+/// Lowering never adds an operand, so this bounds every later stage.
+/// The device backends simulate exactly this register: gates and noise
+/// act on gate operands only, so every other device qubit stays |0>.
+std::vector<int> active_register(const RoutingResult& routed, int n_phys);
+
 /// Gate statistics used by the noise model and the scalability study.
 struct TranspileStats {
   std::size_t n_rz = 0;        // virtual, error-free
@@ -95,6 +102,7 @@ TranspileStats compute_stats(const std::vector<BoundOp>& ops, int n_qubits);
 struct Transpiled {
   std::vector<BoundOp> ops;   // routed + lowered, physical indices
   std::vector<int> final_layout;
+  std::vector<int> active_qubits;  // active_register of the routing
   std::size_t n_swaps_inserted = 0;
   TranspileStats stats;
 };
@@ -119,6 +127,7 @@ struct RoutedTemplate {
   };
   std::vector<TOp> ops;
   std::vector<int> final_layout;
+  std::vector<int> active_qubits;  // active_register of the routing
   std::size_t n_swaps_inserted = 0;
   int n_logical = 0;
 };

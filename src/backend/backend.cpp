@@ -182,6 +182,41 @@ void for_each_transpiled(const exec::CompiledCircuit& plan,
       threads);
 }
 
+/// The register a device backend simulates for one routed structure:
+/// the template's active qubits (transpile::active_register) renumbered
+/// 0..n-1 in ascending physical order. Every other device qubit stays
+/// exactly |0>, because gates and noise act on gate operands only. The
+/// ascending order is what keeps results bit-identical to simulating
+/// the whole device: a full-register basis index with every idle bit
+/// clear maps monotonically onto its compact index, so each in-order
+/// reduction (Kraus weights, norms, the sampling CDF, <Z>,
+/// probabilities) sees the same nonzero terms in the same order and
+/// only drops +0.0 terms, and a sampled compact index reads the same
+/// bits as the full one. Built once per batch.
+struct CompactRegister {
+  int n = 0;                  // simulated qubits
+  std::vector<int> physical;  // compact index -> physical qubit
+  std::vector<int> index;     // physical qubit -> compact index, -1 if idle
+  std::vector<int> layout;    // logical qubit -> compact index
+
+  CompactRegister(const transpile::RoutedTemplate& t, int n_phys)
+      : n(static_cast<int>(t.active_qubits.size())),
+        physical(t.active_qubits),
+        index(static_cast<std::size_t>(n_phys), -1) {
+    for (int c = 0; c < n; ++c)
+      index[static_cast<std::size_t>(physical[static_cast<std::size_t>(c)])] =
+          c;
+    layout.reserve(t.final_layout.size());
+    for (const int p : t.final_layout)
+      layout.push_back(index[static_cast<std::size_t>(p)]);
+    QOC_METRIC_GAUGE_SET("qoc_backend_register_qubits", n);
+  }
+
+  int operator[](int phys) const {
+    return index[static_cast<std::size_t>(phys)];
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -436,85 +471,104 @@ DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
                                            Options options)
     : device_(std::move(device)), options_(options) {
   device_.validate();
-  if (device_.n_qubits > 12)
-    throw std::invalid_argument(
-        "DensityMatrixBackend: device too large for O(4^n) simulation");
   if (options_.noise_scale < 0.0)
     throw std::invalid_argument("DensityMatrixBackend: negative noise_scale");
 }
 
-sim::DensityMatrix DensityMatrixBackend::evolve_transpiled(
-    const transpile::Transpiled& t) const {
-  const int n_phys = device_.n_qubits;
-  const double scale = options_.noise_scale;
+namespace {
 
-  // Pre-build channels once per execution.
-  std::vector<noise::KrausChannel> relax_1q, relax_2q;
-  if (options_.enable_relaxation) {
-    for (const auto& cal : device_.qubits) {
-      relax_1q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device_.gate_time_1q_s * scale));
-      relax_2q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device_.gate_time_2q_s * scale));
+/// Batch-invariant exact-noise configuration of one routed structure:
+/// its simulated register, the depolarizing and relaxation channels,
+/// and the readout flip rates gathered into compact order. Built once
+/// per batched call.
+struct DensityTables {
+  CompactRegister reg;
+  DensityMatrixBackend::Options options;
+  noise::KrausChannel depol_1q, depol_2q;
+  std::vector<noise::KrausChannel> relax_1q, relax_2q;  // compact order
+  std::vector<std::pair<double, double>> readout;       // (e01, e10)
+
+  DensityTables(const noise::DeviceModel& device,
+                const DensityMatrixBackend::Options& opts,
+                const transpile::RoutedTemplate& tmpl)
+      : reg(tmpl, device.n_qubits),
+        options(opts),
+        depol_1q(noise::depolarizing_1q(
+            std::min(1.0, device.err_1q * opts.noise_scale))),
+        depol_2q(noise::depolarizing_2q(
+            std::min(1.0, device.err_2q * opts.noise_scale))) {
+    // O(4^n) memory: the bound applies to the routed register, not to
+    // the device it sits on.
+    if (reg.n > 12)
+      throw std::invalid_argument(
+          "DensityMatrixBackend: routed register of " + std::to_string(reg.n) +
+          " qubits too large for O(4^n) simulation");
+    const double scale = opts.noise_scale;
+    for (const int p : reg.physical) {
+      const auto& cal = device.qubits[static_cast<std::size_t>(p)];
+      if (opts.enable_relaxation) {
+        relax_1q.push_back(noise::thermal_relaxation(
+            cal.t1_s, cal.t2_s, device.gate_time_1q_s * scale));
+        relax_2q.push_back(noise::thermal_relaxation(
+            cal.t1_s, cal.t2_s, device.gate_time_2q_s * scale));
+      }
+      readout.emplace_back(cal.readout_err_0to1 * scale,
+                           cal.readout_err_1to0 * scale);
     }
   }
-  const noise::KrausChannel depol_1q =
-      noise::depolarizing_1q(std::min(1.0, device_.err_1q * scale));
-  const noise::KrausChannel depol_2q =
-      noise::depolarizing_2q(std::min(1.0, device_.err_2q * scale));
 
-  sim::DensityMatrix rho(n_phys);
-  for (const auto& op : t.ops) {
-    rho.apply_unitary(circuit::gate_matrix(op.kind, op.angle), op.qubits);
-    if (op.kind == GateKind::Rz) continue;  // virtual, error-free
-    if (op.qubits.size() == 1) {
-      if (options_.enable_gate_noise)
-        rho.apply_channel(depol_1q.kraus(), op.qubits);
-      if (options_.enable_relaxation)
-        rho.apply_channel(
-            relax_1q[static_cast<std::size_t>(op.qubits[0])].kraus(),
-            op.qubits);
-    } else {
-      if (options_.enable_gate_noise)
-        rho.apply_channel(depol_2q.kraus(), op.qubits);
-      if (options_.enable_relaxation)
-        for (const int q : op.qubits)
-          rho.apply_channel(relax_2q[static_cast<std::size_t>(q)].kraus(),
-                            {q});
-    }
+  /// Exact effect of classical readout bit flips on compact qubit c's
+  /// <Z> (identity when readout error is off).
+  double readout_z(int c, double z) const {
+    if (!options.enable_readout_error) return z;
+    const auto [e01, e10] = readout[static_cast<std::size_t>(c)];
+    return (1.0 - e01 - e10) * z + (e10 - e01);
   }
-  return rho;
-}
 
-std::vector<double> DensityMatrixBackend::run_transpiled(
-    const transpile::Transpiled& t, int n_logical) const {
-  const double scale = options_.noise_scale;
-  const sim::DensityMatrix rho = evolve_transpiled(t);
-  const auto z_phys = rho.expectation_z_all();
-  std::vector<double> out(static_cast<std::size_t>(n_logical));
-  for (int l = 0; l < n_logical; ++l) {
-    const int phys = t.final_layout[static_cast<std::size_t>(l)];
-    double z = z_phys[static_cast<std::size_t>(phys)];
-    if (options_.enable_readout_error) {
-      const auto& cal = device_.qubits[static_cast<std::size_t>(phys)];
-      const double e01 = cal.readout_err_0to1 * scale;
-      const double e10 = cal.readout_err_1to0 * scale;
-      // Exact effect of classical bit flips on <Z>.
-      z = (1.0 - e01 - e10) * z + (e10 - e01);
+  sim::DensityMatrix evolve(const transpile::Transpiled& t) const {
+    sim::DensityMatrix rho(reg.n);
+    std::vector<int> qs;
+    for (const auto& op : t.ops) {
+      qs.clear();
+      for (const int q : op.qubits) qs.push_back(reg[q]);
+      rho.apply_unitary(circuit::gate_matrix(op.kind, op.angle), qs);
+      if (op.kind == GateKind::Rz) continue;  // virtual, error-free
+      if (qs.size() == 1) {
+        if (options.enable_gate_noise) rho.apply_channel(depol_1q.kraus(), qs);
+        if (options.enable_relaxation)
+          rho.apply_channel(relax_1q[static_cast<std::size_t>(qs[0])].kraus(),
+                            qs);
+      } else {
+        if (options.enable_gate_noise) rho.apply_channel(depol_2q.kraus(), qs);
+        if (options.enable_relaxation)
+          for (const int q : qs)
+            rho.apply_channel(relax_2q[static_cast<std::size_t>(q)].kraus(),
+                              {q});
+      }
     }
-    out[static_cast<std::size_t>(l)] = z;
+    return rho;
   }
-  return out;
-}
+};
+
+}  // namespace
 
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
+  const DensityTables tables(device_, options_, *tmpl);
+  const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
   for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
     return [&](std::size_t k, const transpile::Transpiled& t) {
-      results[k] = run_transpiled(t, plan.num_qubits());
+      const auto z = tables.evolve(t).expectation_z_all();
+      auto& out = results[k];
+      out.resize(static_cast<std::size_t>(n_logical));
+      for (int l = 0; l < n_logical; ++l) {
+        const int c = tables.reg.layout[static_cast<std::size_t>(l)];
+        out[static_cast<std::size_t>(l)] =
+            tables.readout_z(c, z[static_cast<std::size_t>(c)]);
+      }
     };
   });
   return results;
@@ -525,31 +579,32 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
+  const DensityTables tables(device_, options_, *tmpl);
   const int n_logical = plan.num_qubits();
-  const int n_phys = device_.n_qubits;
-  const double scale = options_.noise_scale;
+  const int n = tables.reg.n;
+  const auto& layout = tables.reg.layout;
   std::vector<double> results(evals.size());
   // One exact noisy evolution per evaluation; every group's terms are
   // then read from the final density matrix (deterministic oracle, so a
   // single execution is counted per evaluation).
   add_inferences(evals.size());
   for_each_transpiled(plan, *tmpl, device_, evals, threads, [&] {
-    return [&, meas = sim::DensityMatrix(n_phys)](
+    return [&, meas = sim::DensityMatrix(n)](
                std::size_t k, const transpile::Transpiled& t) mutable {
-      const sim::DensityMatrix rho = evolve_transpiled(t);
+      const sim::DensityMatrix rho = tables.evolve(t);
       double energy = observable.constant();
       for (std::size_t g = 0; g < observable.groups().size(); ++g) {
         const auto& group = observable.groups()[g];
-        // Ideal basis-change suffix on the measured physical qubits;
-        // all-Z groups have none, so read rho directly instead of
-        // paying an O(4^n) copy.
+        // Ideal basis-change suffix on the measured qubits; all-Z groups
+        // have none, so read rho directly instead of paying an O(4^n)
+        // copy.
         const sim::DensityMatrix* src = &rho;
         if (!group.suffix.empty()) {
           meas = rho;
           for (const auto& bc : group.suffix) {
-            const int phys = t.final_layout[static_cast<std::size_t>(bc.qubit)];
-            if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
-            meas.apply_unitary(sim::gate_h(), {phys});
+            const int c = layout[static_cast<std::size_t>(bc.qubit)];
+            if (bc.y) meas.apply_unitary(sim::gate_sdg(), {c});
+            meas.apply_unitary(sim::gate_h(), {c});
           }
           src = &meas;
         }
@@ -565,18 +620,9 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
               if (!(term.z_mask &
                     exec::CompiledObservable::qubit_bit(q, n_logical)))
                 continue;
-              const int phys = t.final_layout[static_cast<std::size_t>(q)];
-              const int bit =
-                  static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
-              double z = bit ? -1.0 : 1.0;
-              if (options_.enable_readout_error) {
-                const auto& cal =
-                    device_.qubits[static_cast<std::size_t>(phys)];
-                const double e01 = cal.readout_err_0to1 * scale;
-                const double e10 = cal.readout_err_1to0 * scale;
-                z = (1.0 - e01 - e10) * z + (e10 - e01);
-              }
-              f *= z;
+              const int c = layout[static_cast<std::size_t>(q)];
+              const int bit = static_cast<int>((s >> (n - 1 - c)) & 1ULL);
+              f *= tables.readout_z(c, bit ? -1.0 : 1.0);
             }
             acc += f;
           }
@@ -672,11 +718,13 @@ struct TrajectoryProgram {
   std::vector<Op> ops;
   Matrix sx = sim::gate_sx();
 
-  explicit TrajectoryProgram(const transpile::Transpiled& t) {
+  /// `t`'s op stream with every operand relabelled onto `reg`.
+  TrajectoryProgram(const transpile::Transpiled& t,
+                    const CompactRegister& reg) {
     ops.reserve(t.ops.size());
     for (const auto& bop : t.ops) {
       Op op;
-      op.q0 = bop.qubits[0];
+      op.q0 = reg[bop.qubits[0]];
       switch (bop.kind) {
         case GateKind::Rz:
           op.k = K::Rz;
@@ -691,7 +739,7 @@ struct TrajectoryProgram {
           break;
         case GateKind::Cx:
           op.k = K::Cx;
-          op.q1 = bop.qubits[1];
+          op.q1 = reg[bop.qubits[1]];
           break;
         default:
           throw std::logic_error("TrajectoryProgram: unexpected gate '" +
@@ -728,24 +776,25 @@ struct TrajectoryProgram {
 
 }  // namespace
 
-/// Batch-invariant trajectory configuration: the noise model tables and
-/// the trajectory loop's shape -- everything it consumes that depends
-/// only on (device, options). Built once per batched call --
-/// per-evaluation construction was pure redundant work (identical
-/// channels every time).
+/// Batch-invariant trajectory configuration: the simulated register of
+/// the batch's routed structure, the noise model tables gathered into
+/// its compact order, and the trajectory loop's shape. Built once per
+/// batched call -- per-evaluation construction was pure redundant work
+/// (identical channels every time).
 struct NoisyBackend::NoiseTables {
-  int n_phys = 0;
+  CompactRegister reg;
   int trajectories = 0;
   int shots_per_traj = 0;  // total shots split across trajectories
   int batch_lanes = -1;
   double p1 = 0.0, p2 = 0.0;
   bool relaxation = false;
-  std::vector<noise::KrausChannel> relax_1q, relax_2q;
-  std::vector<noise::ReadoutError> readout;
+  std::vector<noise::KrausChannel> relax_1q, relax_2q;  // compact order
+  std::vector<noise::ReadoutError> readout;             // compact order
 
   NoiseTables(const noise::DeviceModel& device,
-              const NoisyBackendOptions& options)
-      : n_phys(device.n_qubits),
+              const NoisyBackendOptions& options,
+              const transpile::RoutedTemplate& tmpl)
+      : reg(tmpl, device.n_qubits),
         trajectories(options.trajectories),
         shots_per_traj(std::max(1, options.shots / options.trajectories)),
         batch_lanes(options.batch_lanes) {
@@ -753,19 +802,15 @@ struct NoisyBackend::NoiseTables {
     p1 = options.enable_gate_noise ? device.err_1q * scale : 0.0;
     p2 = options.enable_gate_noise ? device.err_2q * scale : 0.0;
     relaxation = options.enable_relaxation;
-    if (options.enable_relaxation) {
-      relax_1q.reserve(static_cast<std::size_t>(device.n_qubits));
-      relax_2q.reserve(static_cast<std::size_t>(device.n_qubits));
-      for (const auto& cal : device.qubits) {
+    for (const int p : reg.physical) {
+      const auto& cal = device.qubits[static_cast<std::size_t>(p)];
+      if (options.enable_relaxation) {
         relax_1q.push_back(noise::thermal_relaxation(
             cal.t1_s, cal.t2_s, device.gate_time_1q_s * scale));
         relax_2q.push_back(noise::thermal_relaxation(
             cal.t1_s, cal.t2_s, device.gate_time_2q_s * scale));
       }
-    }
-    if (options.enable_readout_error) {
-      readout.reserve(static_cast<std::size_t>(device.n_qubits));
-      for (const auto& cal : device.qubits)
+      if (options.enable_readout_error)
         readout.push_back(
             {cal.readout_err_0to1 * scale, cal.readout_err_1to0 * scale});
     }
@@ -850,10 +895,9 @@ struct NoisyBackend::NoiseTables {
   void run_trajectories(const transpile::Transpiled& t, Prng exec_rng,
                         const MakeGroupStep& make_group,
                         const MakeScalarStep& make_scalar) const {
-    const TrajectoryProgram program(t);
+    const TrajectoryProgram program(t, reg);
     const auto n_traj = static_cast<std::size_t>(trajectories);
-    const sim::LanePartition part =
-        lane_partition(n_phys, n_traj, batch_lanes);
+    const sim::LanePartition part = lane_partition(reg.n, n_traj, batch_lanes);
     std::vector<Prng> rngs;
     rngs.reserve(n_traj);
     for (std::size_t j = 0; j < n_traj; ++j) rngs.push_back(exec_rng.split());
@@ -863,7 +907,7 @@ struct NoisyBackend::NoiseTables {
         part, n_traj, /*threads=*/1,
         [&] {
           return [&, step = make_group(),
-                  bsv = sim::BatchedStatevector(n_phys, part.lanes)](
+                  bsv = sim::BatchedStatevector(reg.n, part.lanes)](
                      LaneGroup grp) mutable {
             for (std::size_t l = 0; l < part.lanes; ++l)
               lane_rngs[l] = l < grp.real ? &rngs[grp.first + l] : nullptr;
@@ -875,7 +919,7 @@ struct NoisyBackend::NoiseTables {
         },
         [&] {
           return [&, step = make_scalar(),
-                  sv = sim::Statevector(n_phys)](std::size_t j) mutable {
+                  sv = sim::Statevector(reg.n)](std::size_t j) mutable {
             sv.reset();
             evolve(program, sv, rngs[j]);
             step(sv, rngs[j]);
@@ -900,7 +944,7 @@ std::uint64_t execution_serial(const exec::Evaluation& e, std::uint64_t base,
 std::vector<double> NoisyBackend::run_transpiled(
     const transpile::Transpiled& t, const NoiseTables& tables, int n_logical,
     std::uint64_t serial) const {
-  const int n_phys = device_.n_qubits;
+  const int n = tables.reg.n;
   const int shots = tables.shots_per_traj;
   std::vector<double> acc(static_cast<std::size_t>(n_logical), 0.0);
 
@@ -913,10 +957,10 @@ std::vector<double> NoisyBackend::run_transpiled(
                               Prng& rng) {
     for (const auto s : samples) {
       for (int l = 0; l < n_logical; ++l) {
-        const int phys = t.final_layout[static_cast<std::size_t>(l)];
-        int bit = static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
+        const int c = tables.reg.layout[static_cast<std::size_t>(l)];
+        int bit = static_cast<int>((s >> (n - 1 - c)) & 1ULL);
         if (options_.enable_readout_error)
-          bit = tables.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
+          bit = tables.readout[static_cast<std::size_t>(c)].apply(bit, rng);
         acc[static_cast<std::size_t>(l)] += bit ? -1.0 : 1.0;
       }
     }
@@ -949,7 +993,8 @@ double NoisyBackend::expect_transpiled(
   // circuit, an ideal basis-change suffix per commuting group, then shot
   // sampling with classical readout flips on the measured qubits.
   const int n_logical = observable.num_qubits();
-  const int n_phys = device_.n_qubits;
+  const int n = tables.reg.n;
+  const auto& layout = tables.reg.layout;
   const int shots = tables.shots_per_traj;
 
   const auto& groups = observable.groups();
@@ -975,10 +1020,10 @@ double NoisyBackend::expect_transpiled(
         const std::uint64_t lbit =
             exec::CompiledObservable::qubit_bit(q, n_logical);
         if (!(group.measured_mask & lbit)) continue;
-        const int phys = t.final_layout[static_cast<std::size_t>(q)];
-        int bit = static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
+        const int c = layout[static_cast<std::size_t>(q)];
+        int bit = static_cast<int>((s >> (n - 1 - c)) & 1ULL);
         if (options_.enable_readout_error)
-          bit = tables.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
+          bit = tables.readout[static_cast<std::size_t>(c)].apply(bit, rng);
         if (bit) word |= lbit;
       }
       for (std::size_t i = 0; i < group.terms.size(); ++i)
@@ -1002,7 +1047,7 @@ double NoisyBackend::expect_transpiled(
             const sim::BatchedStatevector* src = &bsv;
             if (!groups[g].suffix.empty()) {
               bmeas = bsv;
-              observable.apply_suffix_lanes(*bmeas, g, t.final_layout);
+              observable.apply_suffix_lanes(*bmeas, g, layout);
               src = &*bmeas;
             }
             for (std::size_t l = 0; l < rngs.size(); ++l)
@@ -1011,13 +1056,13 @@ double NoisyBackend::expect_transpiled(
         };
       },
       [&] {
-        return [&, meas = sim::Statevector(n_phys)](sim::Statevector& sv,
-                                                    Prng& rng) mutable {
+        return [&, meas = sim::Statevector(n)](sim::Statevector& sv,
+                                               Prng& rng) mutable {
           for (std::size_t g = 0; g < groups.size(); ++g) {
             const sim::Statevector* src = &sv;
             if (!groups[g].suffix.empty()) {
               meas = sv;
-              observable.apply_suffix(meas, g, t.final_layout);
+              observable.apply_suffix(meas, g, layout);
               src = &meas;
             }
             accumulate_group(g, src->sample(shots, rng), rng);
@@ -1039,7 +1084,7 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
-  const NoiseTables tables(device_, options_);
+  const NoiseTables tables(device_, options_, *tmpl);
   // Auto evaluations draw serials from the internal counter in
   // submission order; the counter advances by the full batch so auto
   // serials stay position-stable whatever the batch pins.
@@ -1060,7 +1105,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
-  const NoiseTables tables(device_, options_);
+  const NoiseTables tables(device_, options_, *tmpl);
   // Same serials as execute_batch; each evaluation's groups then
   // consume its stream sequentially inside expect_transpiled, so results
   // are deterministic and thread-count invariant.

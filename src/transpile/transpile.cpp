@@ -264,9 +264,55 @@ std::vector<BoundOp> decompose_multiqubit(const std::vector<BoundOp>& ops) {
   return out;
 }
 
+namespace {
+
+/// Most ops lower_1q / lower_2q emit for one op of `kind`, so
+/// lower_to_basis reserves its whole stream up front.
+std::size_t max_lowered_ops(GateKind kind) {
+  switch (kind) {
+    case GateKind::I:
+      return 0;
+    case GateKind::X:
+    case GateKind::Sx:
+    case GateKind::Rz:
+    case GateKind::Z:
+    case GateKind::S:
+    case GateKind::Sdg:
+    case GateKind::T:
+    case GateKind::Tdg:
+    case GateKind::Phase:
+    case GateKind::Cx:
+      return 1;
+    case GateKind::Swap:
+    case GateKind::Rzz:
+      return 3;
+    case GateKind::Crz:
+      return 4;
+    case GateKind::Cp:
+      return 5;
+    case GateKind::Cz:
+      return 11;  // H CX H
+    case GateKind::Cry:
+      return 12;  // RY CX RY CX
+    case GateKind::Rzx:
+      return 13;  // H RZZ H
+    case GateKind::Crx:
+      return 14;  // H CRZ H
+    case GateKind::Rxx:
+    case GateKind::Ryy:
+      return 23;  // two basis changes per qubit around RZZ
+    default:
+      return 5;  // ZXZXZ of a generic 1q gate
+  }
+}
+
+}  // namespace
+
 std::vector<BoundOp> lower_to_basis(const std::vector<BoundOp>& ops) {
+  std::size_t bound = 0;
+  for (const auto& op : ops) bound += max_lowered_ops(op.kind);
   std::vector<BoundOp> out;
-  out.reserve(ops.size() * 3);
+  out.reserve(bound);
   for (const auto& op : ops) {
     if (circuit::gate_arity(op.kind) == 1)
       lower_1q(out, op.kind, op.qubits[0], op.angle);
@@ -329,6 +375,18 @@ RoutingResult route(const std::vector<BoundOp>& ops, int n_logical,
   return result;
 }
 
+std::vector<int> active_register(const RoutingResult& routed, int n_phys) {
+  std::vector<bool> touched(static_cast<std::size_t>(n_phys), false);
+  for (const auto& op : routed.ops)
+    for (const int q : op.qubits) touched[static_cast<std::size_t>(q)] = true;
+  for (const int q : routed.final_layout)
+    touched[static_cast<std::size_t>(q)] = true;
+  std::vector<int> active;
+  for (int q = 0; q < n_phys; ++q)
+    if (touched[static_cast<std::size_t>(q)]) active.push_back(q);
+  return active;
+}
+
 TranspileStats compute_stats(const std::vector<BoundOp>& ops, int n_qubits) {
   TranspileStats s;
   std::vector<std::size_t> frontier(static_cast<std::size_t>(n_qubits), 0);
@@ -358,6 +416,7 @@ Transpiled transpile(const circuit::Circuit& c, std::span<const double> theta,
   const auto bound = decompose_multiqubit(bind_circuit(c, theta, input));
   auto routed = route(bound, c.num_qubits(), device);
   Transpiled t;
+  t.active_qubits = active_register(routed, device.n_qubits);
   t.ops = optimize(lower_to_basis(routed.ops));
   t.final_layout = std::move(routed.final_layout);
   t.n_swaps_inserted = routed.n_swaps_inserted;
@@ -383,6 +442,7 @@ RoutedTemplate route_template(const circuit::Circuit& c,
   auto routed = route(decompose_multiqubit(tagged), c.num_qubits(), device);
 
   RoutedTemplate t;
+  t.active_qubits = active_register(routed, device.n_qubits);
   t.ops.reserve(routed.ops.size());
   for (auto& op : routed.ops) {
     RoutedTemplate::TOp top;
@@ -411,6 +471,7 @@ Transpiled transpile_with_angles(const RoutedTemplate& t,
   Transpiled out;
   out.ops = optimize(lower_to_basis(bound));
   out.final_layout = t.final_layout;
+  out.active_qubits = t.active_qubits;
   out.n_swaps_inserted = t.n_swaps_inserted;
   out.stats = compute_stats(out.ops, device.n_qubits);
   return out;

@@ -11,7 +11,10 @@
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/circuit/layers.hpp"
 #include "qoc/common/prng.hpp"
+#include "qoc/qml/qnn.hpp"
+#include "qoc/transpile/transpile.hpp"
 #include "qoc/vqe/vqe.hpp"
+#include "random_circuit.hpp"
 
 namespace {
 
@@ -713,6 +716,335 @@ TEST(Backend, GoldenOutputs) {
   expect_golden(dm.expect_batch(noisy_plan, noisy_batch.observable,
                                 noisy_batch.evals, 2),
                 kDensityExpect, "density expect");
+}
+
+
+// ---- golden outputs: the five paper tasks on their devices ------------------
+
+// Each paper task's model on the device the paper trains it on, through
+// both device backends. The noisy values hold at lane widths 1 and 8
+// with 9 trajectories (one lane group plus a scalar trajectory).
+struct PaperTaskGolden {
+  const char* task;
+  DeviceModel (*device)();
+  std::vector<double> noisy_run, noisy_expect, density_run, density_expect;
+};
+
+/// Source-op index of the circuit's second trainable op.
+std::size_t second_trainable_op(const Circuit& c) {
+  int seen = 0;
+  for (std::size_t i = 0; i < c.num_ops(); ++i)
+    if (c.op(i).param.source == ParamRef::Source::Trainable && ++seen == 2)
+      return i;
+  return qoc::exec::Evaluation::kNoShift;
+}
+
+/// Three evaluations of `model`: the second shifts the second trainable
+/// op by +pi/2, the third pins its RNG stream.
+struct PaperTaskBatch {
+  std::vector<std::vector<double>> thetas, inputs;
+  std::vector<qoc::exec::Evaluation> evals;
+
+  explicit PaperTaskBatch(const qoc::qml::QnnModel& model) {
+    for (int i = 0; i < 3; ++i) {
+      std::vector<double> t(static_cast<std::size_t>(model.num_params()));
+      for (std::size_t j = 0; j < t.size(); ++j)
+        t[j] = 0.23 * (i + 1) - 0.09 * static_cast<double>(j);
+      std::vector<double> x(static_cast<std::size_t>(model.num_inputs()));
+      for (std::size_t j = 0; j < x.size(); ++j)
+        x[j] = 0.4 - 0.05 * static_cast<double>(j) + 0.13 * i;
+      thetas.push_back(std::move(t));
+      inputs.push_back(std::move(x));
+    }
+    for (int i = 0; i < 3; ++i) {
+      qoc::exec::Evaluation e;
+      e.theta = thetas[static_cast<std::size_t>(i)];
+      e.input = inputs[static_cast<std::size_t>(i)];
+      if (i == 1) {
+        e.shift_op = second_trainable_op(model.circuit());
+        e.shift = 0.5 * kPi;
+      }
+      if (i == 2) e.rng_stream = 4242;
+      evals.push_back(e);
+    }
+  }
+};
+
+qoc::exec::CompiledObservable paper_task_observable() {
+  const std::vector<qoc::exec::ObservableTerm> terms = {
+      {"IIII", 0.1}, {"ZZII", 0.6}, {"IXXI", -0.35}, {"ZIIZ", 0.45},
+      {"IIYY", 0.25}};
+  return qoc::exec::CompiledObservable::compile(4, terms);
+}
+
+const std::vector<PaperTaskGolden>& paper_task_goldens() {
+  static const std::vector<PaperTaskGolden> goldens = {
+      {"mnist4",
+       &DeviceModel::ibmq_jakarta,
+       // noisy run
+       {
+        0x1.5555555555555p-6, 0x1p-4, -0x1.1c71c71c71c72p-5,
+        -0x1.238e38e38e38ep-2, 0x1.8e38e38e38e39p-3, 0x1.aaaaaaaaaaaabp-4,
+        0x1.5555555555555p-5, 0x1.0e38e38e38e39p-2, -0x1.5555555555555p-6,
+        0x1.31c71c71c71c7p-2, 0x1.8p-3, 0x1.638e38e38e38ep-2,
+       },
+       // noisy expect
+       {
+        0x1.949f49f49f49dp-3, 0x1.d11111111111p-3, 0x1.1f49f49f49f4cp-5,
+       },
+       // density run
+       {
+        0x1.a86b7cd5795eep-4, 0x1.d58faae93ab5p-6, -0x1.f54b1f2a33344p-8,
+        -0x1.5a86a870201afp-3, 0x1.3d24f00e3cff1p-3, 0x1.2001bd4235956p-4,
+        0x1.20a81b8ae6db6p-4, 0x1.e3999ded38c98p-3, 0x1.431c8cf1cf736p-5,
+        0x1.76565fbfbf8ffp-3, 0x1.7e785ecd57972p-3, 0x1.50159fa4725e2p-2,
+       },
+       // density expect
+       {
+        0x1.3748b003f97b3p-3, 0x1.928a3b71166a1p-3, 0x1.6392154b1d65bp-6,
+       }},
+      {"mnist2",
+       &DeviceModel::ibmq_jakarta,
+       // noisy run
+       {
+        0x1.78e38e38e38e4p-1, 0x1.ee38e38e38e39p-1, 0x1.caaaaaaaaaaabp-1,
+        0x1.71c71c71c71c7p-1, 0x1.ap-1, 0x1.9c71c71c71c72p-1,
+        0x1.dc71c71c71c72p-1, 0x1.ep-1, 0x1.6e38e38e38e39p-1,
+        0x1.8p-1, 0x1.a71c71c71c71cp-1, 0x1.ap-1,
+       },
+       // noisy expect
+       {
+        0x1.f5b05b05b05afp-1, 0x1.bc9f49f49f49fp-1, 0x1.4a4fa4fa4fa4fp-1,
+       },
+       // density run
+       {
+        0x1.d6e7ab29ad376p-1, 0x1.c568041921c7ap-1, 0x1.a9c0e4addd4adp-1,
+        0x1.94208a3f998b6p-1, 0x1.9fb5d87d56fcbp-1, 0x1.b5db6e17e95ffp-1,
+        0x1.aec5d376afa8fp-1, 0x1.c926becc4d8e2p-1, 0x1.42fc18b2ca50dp-1,
+        0x1.6d5395c0db637p-1, 0x1.822428b0691f4p-1, 0x1.a57c99919bf91p-1,
+       },
+       // density expect
+       {
+        0x1.d67cd9aa07722p-1, 0x1.aebc1c203a77ep-1, 0x1.2e6878b589852p-1,
+       }},
+      {"fashion4",
+       &DeviceModel::ibmq_manila,
+       // noisy run
+       {
+        0x1.5555555555555p-4, 0x1.1c71c71c71c72p-4, 0x1.5555555555555p-6,
+        0x1.1c71c71c71c72p-3, 0x1.e38e38e38e38ep-3, 0x1p-2,
+        0x1.5c71c71c71c72p-2, 0x1.8e38e38e38e39p-3, 0x1.51c71c71c71c7p-1,
+        0x1p-1, 0x1.b8e38e38e38e4p-2, 0x1p-2,
+       },
+       // noisy expect
+       {
+        0x1.4000000000001p-4, 0x1.6d82d82d82d82p-3, 0x1.cp-3,
+       },
+       // density run
+       {
+        0x1.b1cffb5b7b315p-4, 0x1.a6da79119961dp-4, 0x1.35be431b28612p-4,
+        0x1.026c5904a0d96p-3, 0x1.6eea8942533ccp-3, 0x1.01147cd415596p-2,
+        0x1.74d9abdeed8fbp-3, 0x1.a03bf095c8b4bp-3, 0x1.0296345c4f3c5p-1,
+        0x1.03d1ccd7b75dfp-1, 0x1.7a5213947049cp-2, 0x1.15e6c70a74d1cp-2,
+       },
+       // density expect
+       {
+        0x1.8c700a89cc65cp-6, 0x1.462e092721c38p-3, 0x1.d33344309dd93p-3,
+       }},
+      {"fashion2",
+       &DeviceModel::ibmq_santiago,
+       // noisy run
+       {
+        0x1.ee38e38e38e39p-1, 0x1.871c71c71c71cp-1, 0x1.d555555555555p-1,
+        0x1.b1c71c71c71c7p-1, 0x1.ap-1, 0x1.b555555555555p-1,
+        0x1.e38e38e38e38ep-1, 0x1.eaaaaaaaaaaabp-1, 0x1.78e38e38e38e4p-1,
+        0x1.8p-1, 0x1.b555555555555p-1, 0x1.a71c71c71c71cp-1,
+       },
+       // noisy expect
+       {
+        0x1.0360b60b60b61p+0, 0x1.c666666666666p-1, 0x1.4c9f49f49f4ap-1,
+       },
+       // density run
+       {
+        0x1.e2a3376777bc4p-1, 0x1.d2dc9939410a8p-1, 0x1.bffde94b672d6p-1,
+        0x1.97b68283634e4p-1, 0x1.a9648515fd74cp-1, 0x1.c29a168bf9f5ep-1,
+        0x1.c500b8602f10ap-1, 0x1.ce2a33d305ac8p-1, 0x1.491d05cb35771p-1,
+        0x1.76c91fb3b806cp-1, 0x1.952ed9916871cp-1, 0x1.a9a42e80eb713p-1,
+       },
+       // density expect
+       {
+        0x1.e8948ed061093p-1, 0x1.bd91d25663cdep-1, 0x1.3636757df021fp-1,
+       }},
+      {"vowel4",
+       &DeviceModel::ibmq_lima,
+       // noisy run
+       {
+        0x1.8e38e38e38e39p-5, 0x1.e38e38e38e38ep-4, 0x1.38e38e38e38e4p-3,
+        0x1.c71c71c71c71cp-5, -0x1.c71c71c71c71cp-6, 0x1.0e38e38e38e39p-2,
+        0x1.4p-2, 0x1.1c71c71c71c72p-3, 0x1.f1c71c71c71c7p-2,
+        0x1.a71c71c71c71cp-1, 0x1.58e38e38e38e4p-1, 0x1.ce38e38e38e39p-2,
+       },
+       // noisy expect
+       {
+        0x1.49f49f49f49f5p-4, 0x1.5111111111111p-3, 0x1.e71c71c71c71bp-2,
+       },
+       // density run
+       {
+        0x1.8ab6ccbea0bc5p-4, 0x1.5af8db01206b2p-3, 0x1.09ba7713e63c8p-3,
+        0x1.03e4724dc2411p-4, 0x1.0d63d10f573f8p-2, 0x1.5dd3199069d35p-2,
+        0x1.1ff5c9cb5be39p-2, 0x1.d4c92e4023e48p-3, 0x1.af192c7b5e729p-2,
+        0x1.0070f1812bebap-1, 0x1.b808ec60845e3p-2, 0x1.8a373798744f9p-2,
+       },
+       // density expect
+       {
+        0x1.8ddc699f307b1p-3, 0x1.1d73071e9c02ap-2, 0x1.94e26172a80b7p-2,
+       }},
+  };
+  return goldens;
+}
+
+TEST(Backend, PaperTaskGoldenOutputs) {
+  const auto observable = paper_task_observable();
+  for (const auto& g : paper_task_goldens()) {
+    SCOPED_TRACE(g.task);
+    const auto model = qoc::qml::make_task_model(g.task);
+    const PaperTaskBatch batch(model);
+    for (const int lanes : {1, 8}) {
+      const std::string tag = "lanes=" + std::to_string(lanes);
+      NoisyBackendOptions opt;
+      opt.trajectories = 9;
+      opt.shots = 9 * 32;
+      opt.seed = 0xC0FFEEULL;
+      opt.batch_lanes = lanes;
+      NoisyBackend noisy(g.device(), opt);
+      const auto run = flatten(noisy.run_batch(model.plan(), batch.evals, 2));
+      const auto expect =
+          noisy.expect_batch(model.plan(), observable, batch.evals, 2);
+      expect_golden(run, g.noisy_run, "noisy run " + tag);
+      expect_golden(expect, g.noisy_expect, "noisy expect " + tag);
+    }
+    DensityMatrixBackend dm(g.device());
+    const auto drun = flatten(dm.run_batch(model.plan(), batch.evals, 2));
+    const auto dexp = dm.expect_batch(model.plan(), observable, batch.evals, 2);
+    expect_golden(drun, g.density_run, "density run");
+    expect_golden(dexp, g.density_expect, "density expect");
+  }
+}
+
+TEST(NoisyBackend, RunsMnist4OnToronto) {
+  // The paper's Fig. 8 device has 27 qubits; MNIST-4 routes onto four of
+  // them (0-1-2-3, a line on toronto's heavy-hex map), so trajectories
+  // are 16 amplitudes wide, not 2^27. The results equal those of a
+  // device cut down to that line, bit for bit.
+  const auto model = qoc::qml::make_task_model("mnist4");
+  const DeviceModel toronto = DeviceModel::ibmq_toronto();
+  EXPECT_EQ(qoc::transpile::route_template(model.circuit(), toronto)
+                .active_qubits,
+            (std::vector<int>{0, 1, 2, 3}));
+  DeviceModel line = toronto;
+  line.name = "toronto_0123";
+  line.n_qubits = 4;
+  line.coupling = {{0, 1}, {1, 2}, {2, 3}};
+  line.qubits.resize(4);
+  const PaperTaskBatch batch(model);
+  const auto observable = paper_task_observable();
+  NoisyBackendOptions opt;
+  opt.trajectories = 9;
+  opt.shots = 9 * 32;
+  opt.seed = 0x7020ULL;
+  NoisyBackend full(toronto, opt);
+  NoisyBackend cut(line, opt);
+  const auto run = flatten(full.run_batch(model.plan(), batch.evals, 2));
+  ASSERT_EQ(run.size(), 12u);
+  for (const double z : run) EXPECT_LE(std::abs(z), 1.0);
+  expect_golden(run, flatten(cut.run_batch(model.plan(), batch.evals, 2)),
+                "toronto run");
+  expect_golden(full.expect_batch(model.plan(), observable, batch.evals, 2),
+                cut.expect_batch(model.plan(), observable, batch.evals, 2),
+                "toronto expect");
+}
+
+// ---- idle-qubit differential ------------------------------------------------
+
+/// `d` plus `extra` qubits that copy d's calibrations and have no
+/// coupling edge: no route runs through them, so every circuit routes
+/// exactly as on `d` and leaves them idle.
+DeviceModel with_idle_qubits(DeviceModel d, int extra) {
+  const int n = d.n_qubits;
+  d.name += "+idle";
+  for (int i = 0; i < extra; ++i)
+    d.qubits.push_back(d.qubits[static_cast<std::size_t>(i % n)]);
+  d.n_qubits += extra;
+  d.validate();
+  return d;
+}
+
+/// A random observable over n qubits: five Pauli strings plus identity.
+qoc::exec::CompiledObservable random_observable(Prng& rng, int n) {
+  std::vector<qoc::exec::ObservableTerm> terms = {
+      {std::string(static_cast<std::size_t>(n), 'I'), 0.15}};
+  for (int t = 0; t < 5; ++t) {
+    std::string pauli;
+    for (int q = 0; q < n; ++q) pauli += "IXYZ"[rng.uniform_int(4)];
+    terms.push_back({pauli, rng.uniform(-1.0, 1.0)});
+  }
+  return qoc::exec::CompiledObservable::compile(n, terms);
+}
+
+TEST(IdleQubits, DeviceBackendsMatchOnPaddedDevice) {
+  // Generated circuits on a device D and on D with three idle qubits
+  // appended must give bit-identical noisy and density results: qubits
+  // no gate touches stay |0> and contribute nothing to any result.
+  using qoc::testgen::kGenInputs;
+  using qoc::testgen::kGenThetas;
+  const DeviceModel devices[] = {DeviceModel::ibmq_lima(),
+                                 DeviceModel::ibmq_manila()};
+  Prng rng(4711);
+  for (int i = 0; i < 6; ++i) {
+    SCOPED_TRACE("circuit " + std::to_string(i));
+    const DeviceModel& base = devices[i / 3];
+    const DeviceModel padded = with_idle_qubits(base, 3);
+    const int n = 4 + i % 2;
+    const Circuit c = qoc::testgen::random_circuit(rng, n, 16);
+    const auto plan = qoc::exec::CompiledCircuit::compile(c);
+    const auto observable = random_observable(rng, n);
+    std::vector<std::vector<double>> thetas, inputs;
+    for (int b = 0; b < 3; ++b) {
+      thetas.push_back(qoc::testgen::random_angles(rng, kGenThetas));
+      inputs.push_back(qoc::testgen::random_angles(rng, kGenInputs));
+    }
+    std::vector<qoc::exec::Evaluation> evals;
+    for (int b = 0; b < 3; ++b) {
+      qoc::exec::Evaluation e;
+      e.theta = thetas[static_cast<std::size_t>(b)];
+      e.input = inputs[static_cast<std::size_t>(b)];
+      if (b == 1) e.rng_stream = 77;
+      evals.push_back(e);
+    }
+    for (const int lanes : {1, 8}) {
+      const std::string tag = "lanes=" + std::to_string(lanes);
+      NoisyBackendOptions opt;
+      opt.trajectories = 9;
+      opt.shots = 9 * 16;
+      opt.seed = 0x1D1EULL + static_cast<std::uint64_t>(i);
+      opt.batch_lanes = lanes;
+      NoisyBackend on_base(base, opt);
+      NoisyBackend on_padded(padded, opt);
+      expect_golden(flatten(on_padded.run_batch(plan, evals, 2)),
+                    flatten(on_base.run_batch(plan, evals, 2)),
+                    "noisy run " + tag);
+      expect_golden(on_padded.expect_batch(plan, observable, evals, 2),
+                    on_base.expect_batch(plan, observable, evals, 2),
+                    "noisy expect " + tag);
+    }
+    DensityMatrixBackend dm_base(base);
+    DensityMatrixBackend dm_padded(padded);
+    expect_golden(flatten(dm_padded.run_batch(plan, evals, 2)),
+                  flatten(dm_base.run_batch(plan, evals, 2)), "density run");
+    expect_golden(dm_padded.expect_batch(plan, observable, evals, 2),
+                  dm_base.expect_batch(plan, observable, evals, 2),
+                  "density expect");
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "qoc/circuit/layers.hpp"
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/obs/obs.hpp"
+#include "qoc/qml/qnn.hpp"
 #include "qoc/serve/serve.hpp"
 
 namespace {
@@ -479,6 +480,28 @@ TEST(ObsMacros, GlobalMacrosRecord) {
     QOC_METRIC_SCOPED_TIMER_NS("obs_test_macro_ns");
   }
   EXPECT_EQ(reg.histogram("obs_test_macro_ns").count(), hbefore + 1);
+}
+
+TEST(ObsMacros, DeviceBackendsRecordSimulatedRegister) {
+  // MNIST-4 on the 7-qubit jakarta routes onto 4 physical qubits, and
+  // each device backend batch records the register it simulates.
+  auto& reg = obs::Registry::global();
+  const auto model = qml::make_task_model("mnist4");
+  const std::vector<double> theta(
+      static_cast<std::size_t>(model.num_params()), 0.3);
+  const std::vector<double> input(
+      static_cast<std::size_t>(model.num_inputs()), 0.1);
+  backend::NoisyBackendOptions opt;
+  opt.trajectories = 2;
+  opt.shots = 16;
+  backend::NoisyBackend noisy(noise::DeviceModel::ibmq_jakarta(), opt);
+  reg.gauge("qoc_backend_register_qubits").set(0);
+  noisy.run(model.plan(), theta, input);
+  EXPECT_EQ(reg.gauge("qoc_backend_register_qubits").value(), 4);
+  backend::DensityMatrixBackend dm(noise::DeviceModel::ibmq_jakarta());
+  reg.gauge("qoc_backend_register_qubits").set(0);
+  dm.run(model.plan(), theta, input);
+  EXPECT_EQ(reg.gauge("qoc_backend_register_qubits").value(), 4);
 }
 
 #endif  // QOC_OBS

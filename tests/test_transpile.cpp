@@ -17,6 +17,7 @@
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/statevector.hpp"
 #include "qoc/transpile/transpile.hpp"
+#include "random_circuit.hpp"
 
 namespace {
 
@@ -30,6 +31,11 @@ using qoc::linalg::equal_up_to_global_phase;
 using qoc::linalg::kPi;
 using qoc::linalg::Matrix;
 using qoc::noise::DeviceModel;
+using qoc::testgen::kAllKinds;
+using qoc::testgen::kGenInputs;
+using qoc::testgen::kGenThetas;
+using qoc::testgen::random_angles;
+using qoc::testgen::random_circuit;
 
 /// Apply a BoundOp list to a fresh statevector register of n qubits and
 /// return the full unitary by columns (small n only).
@@ -271,9 +277,11 @@ TEST(FullTranspile, DurationPositiveAndScalesWithDepth) {
 
 // ---- Template path vs full pipeline ---------------------------------------------
 
-/// Bitwise equality of two transpiled streams (ops, layout, stats).
+/// Bitwise equality of two transpiled streams (ops, layout, active
+/// register, stats).
 void expect_transpiled_equal(const Transpiled& a, const Transpiled& b) {
   EXPECT_EQ(a.final_layout, b.final_layout);
+  EXPECT_EQ(a.active_qubits, b.active_qubits);
   EXPECT_EQ(a.n_swaps_inserted, b.n_swaps_inserted);
   ASSERT_EQ(a.ops.size(), b.ops.size());
   for (std::size_t i = 0; i < a.ops.size(); ++i) {
@@ -297,73 +305,6 @@ struct TemplateCase {
   std::vector<std::vector<double>> thetas;
   std::vector<std::vector<double>> inputs;  // one per theta, or empty
 };
-
-/// Every gate kind lower_1q / lower_2q handles, plus CCX (expanded before
-/// routing).
-constexpr GateKind kAllKinds[] = {
-    GateKind::I,   GateKind::X,   GateKind::Y,    GateKind::Z,
-    GateKind::H,   GateKind::S,   GateKind::Sdg,  GateKind::T,
-    GateKind::Tdg, GateKind::Sx,  GateKind::Rx,   GateKind::Ry,
-    GateKind::Rz,  GateKind::Phase, GateKind::Cx, GateKind::Cz,
-    GateKind::Swap, GateKind::Rxx, GateKind::Ryy, GateKind::Rzz,
-    GateKind::Rzx, GateKind::Crx, GateKind::Cry,  GateKind::Crz,
-    GateKind::Cp,  GateKind::Ccx,
-};
-constexpr int kGenThetas = 6;
-constexpr int kGenInputs = 3;
-
-/// Seeded random circuit over kAllKinds. Rotation angles come from a
-/// trainable parameter, a scaled and offset input, or a constant that is
-/// sometimes exactly 0 or +-pi/2.
-Circuit random_circuit(Prng& rng, int n_qubits, int n_ops) {
-  Circuit c(n_qubits);
-  for (int i = 0; i < n_ops; ++i) {
-    const GateKind kind = kAllKinds[rng.uniform_int(std::size(kAllKinds))];
-    std::vector<int> qubits;
-    while (static_cast<int>(qubits.size()) < qoc::circuit::gate_arity(kind)) {
-      const int q = static_cast<int>(rng.uniform_int(n_qubits));
-      if (std::find(qubits.begin(), qubits.end(), q) == qubits.end())
-        qubits.push_back(q);
-    }
-    ParamRef p;
-    if (qoc::circuit::gate_is_parameterised(kind)) {
-      const double special[] = {0.0, kPi / 2.0, -kPi / 2.0};
-      switch (rng.uniform_int(4)) {
-        case 0:
-          p = ParamRef::input(static_cast<int>(rng.uniform_int(kGenInputs)),
-                              rng.uniform() < 0.5 ? 1.0 : 0.5,
-                              rng.uniform() < 0.5 ? 0.0 : kPi / 2.0);
-          break;
-        case 1:
-          p = ParamRef::constant(rng.uniform() < 0.5
-                                     ? special[rng.uniform_int(3)]
-                                     : rng.uniform(-kPi, kPi));
-          break;
-        default:
-          p = ParamRef::trainable(
-              static_cast<int>(rng.uniform_int(kGenThetas)));
-          break;
-      }
-    }
-    c.add(kind, std::move(qubits), p);
-  }
-  return c;
-}
-
-/// Random angles with exact zeros, +-pi/2 and +-pi/2 parameter shifts.
-std::vector<double> random_angles(Prng& rng, int n) {
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    switch (rng.uniform_int(5)) {
-      case 0: x = 0.0; break;
-      case 1: x = rng.uniform() < 0.5 ? kPi / 2.0 : -kPi / 2.0; break;
-      case 2: x = rng.uniform(-kPi, kPi) + kPi / 2.0; break;
-      case 3: x = rng.uniform(-kPi, kPi) - kPi / 2.0; break;
-      default: x = rng.uniform(-kPi, kPi); break;
-    }
-  }
-  return v;
-}
 
 /// Representative mix: every lowering recipe class (affine RZ family,
 /// ZYZ rotations incl. scaled Cry, fixed-gate conjugations, routed
@@ -429,8 +370,8 @@ TemplateCase task_scale_case() {
 TEST(TemplatePath, MatchesFullPipeline) {
   // transpile_with_angles(route_template(c, d), angles, d) -- the path
   // every transpiling backend evaluation takes -- must equal the full
-  // transpile(c, theta, input, d) bit for bit, on generated circuits
-  // and on three pinned ones.
+  // transpile(c, theta, input, d) bit for bit, active register included,
+  // on generated circuits and on three pinned ones.
   std::vector<TemplateCase> cases;
   cases.push_back(lowering_mix_case());
   cases.push_back(merged_rz_case());
@@ -471,6 +412,16 @@ TEST(TemplatePath, MatchesFullPipeline) {
         angles.push_back(bop.angle);
       expect_transpiled_equal(
           transpile_with_angles(tmpl, angles, tc.device), expected);
+      // The active register is ascending and covers every lowered
+      // operand and the final layout.
+      const auto& active = expected.active_qubits;
+      EXPECT_TRUE(std::is_sorted(active.begin(), active.end()));
+      const auto is_active = [&](int q) {
+        return std::binary_search(active.begin(), active.end(), q);
+      };
+      for (const auto& op : expected.ops)
+        for (const int q : op.qubits) EXPECT_TRUE(is_active(q)) << q;
+      for (const int q : expected.final_layout) EXPECT_TRUE(is_active(q)) << q;
     }
   }
   EXPECT_GT(swaps, 0u);  // the line devices forced SWAP insertion
