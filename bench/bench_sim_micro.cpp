@@ -205,6 +205,7 @@ void BM_ParameterShiftJacobian(benchmark::State& state) {
   const qml::QnnModel model = qml::make_mnist2_model();
   backend::StatevectorBackend backend(0);
   train::ParameterShiftEngine engine(backend, model);
+  engine.set_threads(1);  // sequential; the pooled line below is the default
   Prng rng(5);
   const auto theta = model.init_params(rng);
   const std::vector<double> input(16, 0.5);

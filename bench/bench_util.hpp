@@ -179,7 +179,6 @@ inline train::TrainingConfig default_config(int steps, std::uint64_t seed) {
   cfg.eval_every = 0;  // benches evaluate explicitly where needed
   cfg.max_eval_examples = 50;
   cfg.seed = seed;
-  cfg.threads = 0;  // benches use every core; see TrainingConfig::threads
   return cfg;
 }
 
@@ -193,9 +192,9 @@ inline double eval_accuracy(const qml::QnnModel& model,
   if (max_examples > 0 && val.size() > max_examples) {
     Prng rng(seed);
     const data::Dataset sub = val.sample(max_examples, rng);
-    return model.accuracy(eval_backend, theta, sub, /*threads=*/0);
+    return model.accuracy(eval_backend, theta, sub);
   }
-  return model.accuracy(eval_backend, theta, val, /*threads=*/0);
+  return model.accuracy(eval_backend, theta, val);
 }
 
 struct ProtocolResult {

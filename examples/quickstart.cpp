@@ -47,7 +47,6 @@ int main() {
   train::TrainingConfig cfg;
   cfg.steps = 60;
   cfg.batch_size = 16;
-  cfg.threads = 0;  // parallel gradient evaluation across the batch
   cfg.optimizer = train::OptimizerKind::Adam;
   cfg.lr_start = 0.3;   // cosine schedule, Sec. 4.3
   cfg.lr_end = 0.03;

@@ -32,11 +32,8 @@
 
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/linalg/matrix.hpp"
+#include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/statevector.hpp"
-
-namespace qoc::sim {
-class BatchedStatevector;
-}
 
 namespace qoc::exec {
 
@@ -162,13 +159,26 @@ class CompiledCircuit {
   void resolve_slots_lanes(std::span<const Evaluation> evals,
                            std::vector<double>& out) const;
 
+  /// apply_batched's entry-major lane matrices and fused-run
+  /// descriptors. A caller that applies many lane groups keeps one, so
+  /// groups after the first allocate nothing.
+  struct LaneScratch {
+    std::vector<linalg::cplx> buf;   // one op: 16 entries x k
+    std::vector<linalg::cplx> buf2;  // second matrix of a fused pair
+    std::vector<linalg::cplx> diag_buf;
+    std::vector<sim::BatchedStatevector::DiagRunOp> diag_run;
+    std::vector<linalg::cplx> pair_buf;
+    std::vector<sim::BatchedStatevector::Pair1qOp> pair_run;
+  };
+
   /// Execute the op stream against a k-lane batched state with angles
   /// from resolve_slots_lanes. Parameter-dependent matrices are built
   /// once per op per lane group (k entry-major 2x2/4x4 builds amortized
   /// over 2^n rows of kernel work); lane L's arithmetic matches apply()
   /// on evaluation L bit-for-bit.
   void apply_batched(sim::BatchedStatevector& sv,
-                     std::span<const double> slot_angles) const;
+                     std::span<const double> slot_angles,
+                     LaneScratch& scratch) const;
 
   /// Convenience: resolve + apply on a fresh |0..0> state and return
   /// <Z_q> for every qubit.

@@ -55,10 +55,10 @@ class QnnModel {
               std::span<const double> input) const;
 
   /// Classification accuracy over a dataset, submitted as one batched
-  /// backend call. threads = 1 evaluates sequentially; 0 uses all
-  /// hardware cores. Results are independent of the thread count.
+  /// backend call. threads: 0 = all cores (default; `QOC_THREADS` sizes
+  /// it), 1 = sequential. Results are independent of the thread count.
   double accuracy(backend::Backend& backend, std::span<const double> theta,
-                  const data::Dataset& dataset, unsigned threads = 1) const;
+                  const data::Dataset& dataset, unsigned threads = 0) const;
 
  private:
   std::string name_;

@@ -43,10 +43,10 @@ class ParameterShiftEngine {
   ParameterShiftEngine(backend::Backend& backend, const qml::QnnModel& model);
 
   /// Fan the evaluation batches of jacobian/batch_gradient/batch_loss
-  /// across worker threads. 1 (default) = sequential; 0 = one thread per
-  /// hardware core. Per-evaluation RNG streams are assigned in submission
-  /// order by the backends, so results no longer depend on the thread
-  /// count; gradients are combined in batch order either way.
+  /// across worker threads: 0 = all cores (default; `QOC_THREADS` sizes
+  /// it), 1 = sequential. Per-evaluation RNG streams are assigned in
+  /// submission order by the backends, so results do not depend on the
+  /// thread count; gradients are combined in batch order either way.
   void set_threads(unsigned threads) { threads_ = threads; }
   unsigned threads() const { return threads_; }
 
@@ -81,7 +81,7 @@ class ParameterShiftEngine {
 
   backend::Backend& backend_;
   const qml::QnnModel& model_;
-  unsigned threads_ = 1;
+  unsigned threads_ = 0;
   // param index -> op indices containing it (cached once; circuits are
   // immutable after model construction).
   std::vector<std::vector<std::size_t>> param_ops_;

@@ -51,11 +51,11 @@ struct TrainingConfig {
   std::size_t max_eval_examples = 0;
 
   /// Worker threads for the batched gradient and validation submissions:
-  /// 1 = sequential (default), 0 = all hardware cores. The model circuit
-  /// is compiled once into an execution plan and every step submits its
-  /// shifted evaluations as one backend batch, so results are identical
-  /// for any thread count (see Backend::run_batch).
-  unsigned threads = 1;
+  /// 0 = all cores (default; `QOC_THREADS` sizes it), 1 = sequential.
+  /// The model circuit is compiled once into an execution plan and every
+  /// step submits its shifted evaluations as one backend batch, so
+  /// results are identical for any thread count (see Backend::run_batch).
+  unsigned threads = 0;
 
   void validate() const;
 };

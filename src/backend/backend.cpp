@@ -283,7 +283,8 @@ void prepare_lanes(const exec::CompiledCircuit& plan,
         return [&, step = make_group(),
                 bsv = sim::BatchedStatevector(n, part.lanes),
                 angles = std::vector<double>(),
-                padded = std::vector<exec::Evaluation>()](
+                padded = std::vector<exec::Evaluation>(),
+                scratch = exec::CompiledCircuit::LaneScratch()](
                    LaneGroup grp) mutable {
           std::span<const exec::Evaluation> lanes =
               evals.subspan(grp.first, grp.real);
@@ -294,7 +295,7 @@ void prepare_lanes(const exec::CompiledCircuit& plan,
           }
           plan.resolve_slots_lanes(lanes, angles);
           bsv.reset();
-          plan.apply_batched(bsv, angles);
+          plan.apply_batched(bsv, angles, scratch);
           step(bsv, grp);
         };
       },

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "qoc/common/parallel.hpp"
+
 namespace qoc::data {
 
 std::vector<double> center_crop(const Image& img, int crop) {
@@ -65,10 +67,22 @@ void SyntheticImages::set_templates(std::vector<int> templates) {
 
 namespace {
 
+// Pixels within `radius` of (cx, cy) lie in the disk's bounding box;
+// outside it hypot(x, y) >= |x| > radius, so only the box (plus a
+// 1-pixel margin against rounding) is scanned.
 void draw_disk(Image& img, double cx, double cy, double radius,
                double intensity) {
-  for (int r = 0; r < Image::kSize; ++r)
-    for (int c = 0; c < Image::kSize; ++c) {
+  const auto lo = [&](double centre) {
+    return static_cast<int>(std::clamp(std::floor(centre - radius) - 1, 0.0,
+                                       double{Image::kSize}));
+  };
+  const auto hi = [&](double centre) {
+    return static_cast<int>(std::clamp(std::ceil(centre + radius) + 1, -1.0,
+                                       double{Image::kSize - 1}));
+  };
+  const int r1 = hi(cy), c1 = hi(cx);
+  for (int r = lo(cy); r <= r1; ++r)
+    for (int c = lo(cx); c <= c1; ++c) {
       const double d = std::hypot(r - cy, c - cx);
       if (d <= radius)
         img.at(r, c) = std::min(1.0, img.at(r, c) +
@@ -202,12 +216,16 @@ Image SyntheticImages::generate(int label, std::uint64_t index) const {
 }
 
 Dataset SyntheticImages::make_dataset(std::size_t n) const {
+  // Each image draws from its own (seed, label, index) stream, so the
+  // examples are generated in parallel into their slots.
   Dataset out;
-  for (std::size_t i = 0; i < n; ++i) {
+  out.features.resize(n);
+  out.labels.resize(n);
+  parallel_for(0, n, [&](std::size_t i) {
     const int label = static_cast<int>(i % static_cast<std::size_t>(n_classes_));
-    const Image img = generate(label, i);
-    out.push(image_to_features(img), label);
-  }
+    out.features[i] = image_to_features(generate(label, i));
+    out.labels[i] = label;
+  });
   out.validate();
   return out;
 }

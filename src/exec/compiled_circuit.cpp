@@ -488,12 +488,15 @@ bool is_dense_1q_op(const CompiledOp& op) {
 }  // namespace
 
 void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
-                                    std::span<const double> slot_angles) const {
+                                    std::span<const double> slot_angles,
+                                    LaneScratch& scratch) const {
   const std::size_t k = sv.lanes();
   // Entry-major per-lane scratch; 16 entries covers the dense 2q case.
   // buf2 holds the second matrix of a fused dense pair.
-  std::vector<cplx> buf(16 * k);
-  std::vector<cplx> buf2(4 * k);
+  auto& buf = scratch.buf;
+  auto& buf2 = scratch.buf2;
+  buf.resize(16 * k);
+  buf2.resize(4 * k);
   const auto angle_at = [&](std::int32_t slot, std::size_t lane) {
     return slot_angles[static_cast<std::size_t>(slot) * k + lane];
   };
@@ -528,11 +531,11 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
 
   // Scratch for fused diagonal runs: entry buffers (4 entries x k per op)
   // plus the op descriptors handed to the kernel.
-  std::vector<cplx> diag_buf;
-  std::vector<sim::BatchedStatevector::DiagRunOp> diag_run;
+  auto& diag_buf = scratch.diag_buf;
+  auto& diag_run = scratch.diag_run;
   // Scratch for dense pair runs (8 entries x k per pair).
-  std::vector<cplx> pair_buf;
-  std::vector<sim::BatchedStatevector::Pair1qOp> pair_run;
+  auto& pair_buf = scratch.pair_buf;
+  auto& pair_run = scratch.pair_run;
   // Lower ops_[begin, end) -- all multiplicative diagonals -- into the
   // entry buffers one fused pass consumes. Entry construction per op is
   // byte-for-byte the switch arms below; only the number of sweeps over

@@ -99,6 +99,7 @@ TEST(ParallelPaths, BatchGradientThreadCountInvariantOnExactBackend) {
   const std::vector<std::size_t> batch = {0, 1, 2, 3, 4, 5};
 
   train::ParameterShiftEngine seq(backend, model);
+  seq.set_threads(1);
   const auto g1 = seq.batch_gradient(theta, d, batch);
 
   train::ParameterShiftEngine par(backend, model);

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "qoc/common/prng.hpp"
 #include "qoc/data/dataset.hpp"
@@ -173,6 +177,45 @@ TEST(TaskFactories, SplitSizesMatchPaper) {
   EXPECT_EQ(m4.train.size(), 100u);
   EXPECT_EQ(m4.val.size(), 300u);
   EXPECT_EQ(m4.train.num_classes(), 4);
+}
+
+/// 64-bit FNV-1a, as hex, over the bit patterns of every train and val
+/// feature and label, in order.
+std::string split_digest(const Dataset& train, const Dataset& val) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Dataset* d : {&train, &val}) {
+    add(d->size());
+    for (std::size_t i = 0; i < d->size(); ++i) {
+      add(d->features[i].size());
+      for (const double v : d->features[i]) add(std::bit_cast<std::uint64_t>(v));
+      add(static_cast<std::uint64_t>(d->labels[i]));
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, h);
+  return hex;
+}
+
+TEST(TaskFactories, DatasetsAreBitIdentical) {
+  // Pins the five paper tasks' default datasets bit for bit: any change
+  // to synthesis, cropping, pooling, splitting or PCA that moves one
+  // feature bit fails here.
+  const TaskData m4 = make_mnist4();
+  const TaskData m2 = make_mnist2();
+  const TaskData f4 = make_fashion4();
+  const TaskData f2 = make_fashion2();
+  const VowelTask v4 = make_vowel4();
+  EXPECT_EQ(split_digest(m4.train, m4.val), "3c015079b36111fa");
+  EXPECT_EQ(split_digest(m2.train, m2.val), "61d523b18858a583");
+  EXPECT_EQ(split_digest(f4.train, f4.val), "66b5fe4f3f894c86");
+  EXPECT_EQ(split_digest(f2.train, f2.val), "9181c60df7bb64cf");
+  EXPECT_EQ(split_digest(v4.train, v4.val), "39c3dad2bb7d376c");
 }
 
 // ---- PCA -------------------------------------------------------------------------

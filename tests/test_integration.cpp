@@ -217,4 +217,52 @@ TEST(Integration, DeterministicGivenSeed) {
   EXPECT_EQ(a, b);
 }
 
+TEST(Integration, NoisyPrunedTrainingIsThreadCountInvariant) {
+  // QC-Train-PGP end to end on the simulated jakarta: the gradient and
+  // validation batches fan over the shared pool, and every evaluation
+  // draws from its own indexed stream, so the thread count may change
+  // wall-clock only. 0 (every core) is the library default.
+  EXPECT_EQ(TrainingConfig{}.threads, 0u);
+  const qml::QnnModel model = qml::make_mnist2_model();
+  const auto td = data::make_mnist2();
+  auto run_with = [&](unsigned threads) {
+    NoisyBackendOptions opt;
+    opt.trajectories = 4;
+    opt.shots = 256;
+    opt.seed = 41;
+    NoisyBackend backend(noise::DeviceModel::ibmq_jakarta(), opt);
+    TrainingConfig cfg;
+    cfg.steps = 6;
+    cfg.batch_size = 4;
+    cfg.seed = 43;
+    cfg.eval_every = 3;
+    cfg.max_eval_examples = 24;
+    cfg.use_pruning = true;
+    cfg.pruner.accumulation_window = 1;
+    cfg.pruner.pruning_window = 2;
+    cfg.pruner.ratio = 0.5;
+    cfg.threads = threads;
+    TrainingEngine engine(model, backend, backend, td.train, td.val, cfg);
+    return engine.run();
+  };
+  const TrainingResult ref = run_with(1);
+  ASSERT_EQ(ref.history.size(), 2u);
+  for (const unsigned threads : {3u, 0u}) {
+    SCOPED_TRACE(threads);
+    const TrainingResult res = run_with(threads);
+    EXPECT_EQ(res.theta, ref.theta);
+    ASSERT_EQ(res.history.size(), ref.history.size());
+    for (std::size_t i = 0; i < ref.history.size(); ++i) {
+      EXPECT_EQ(res.history[i].step, ref.history[i].step);
+      EXPECT_EQ(res.history[i].inferences, ref.history[i].inferences);
+      EXPECT_EQ(res.history[i].train_loss, ref.history[i].train_loss);
+      EXPECT_EQ(res.history[i].val_accuracy, ref.history[i].val_accuracy);
+      EXPECT_EQ(res.history[i].learning_rate, ref.history[i].learning_rate);
+    }
+    EXPECT_EQ(res.total_inferences, ref.total_inferences);
+    EXPECT_EQ(res.final_val_accuracy, ref.final_val_accuracy);
+    EXPECT_EQ(res.best_val_accuracy, ref.best_val_accuracy);
+  }
+}
+
 }  // namespace
