@@ -159,23 +159,21 @@ class CompiledCircuit {
   void resolve_slots_lanes(std::span<const Evaluation> evals,
                            std::vector<double>& out) const;
 
-  /// apply_batched's entry-major lane matrices and fused-run
-  /// descriptors. A caller that applies many lane groups keeps one, so
+  /// apply_batched's entry-major lane matrices: one step's worth (16
+  /// entries x k for a lone 2q op, up to a full fused step's diagonals
+  /// and pairs). A caller that applies many lane groups keeps one, so
   /// groups after the first allocate nothing.
   struct LaneScratch {
-    std::vector<linalg::cplx> buf;   // one op: 16 entries x k
-    std::vector<linalg::cplx> buf2;  // second matrix of a fused pair
-    std::vector<linalg::cplx> diag_buf;
-    std::vector<sim::BatchedStatevector::DiagRunOp> diag_run;
-    std::vector<linalg::cplx> pair_buf;
-    std::vector<sim::BatchedStatevector::Pair1qOp> pair_run;
+    std::vector<linalg::cplx> buf;
   };
 
   /// Execute the op stream against a k-lane batched state with angles
-  /// from resolve_slots_lanes. Parameter-dependent matrices are built
-  /// once per op per lane group (k entry-major 2x2/4x4 builds amortized
-  /// over 2^n rows of kernel work); lane L's arithmetic matches apply()
-  /// on evaluation L bit-for-bit.
+  /// from resolve_slots_lanes, one call per step of the fusion schedule
+  /// compile() planned (see batched_steps_). Parameter-dependent
+  /// matrices are built once per op per lane group (k entry-major
+  /// 2x2/4x4 builds amortized over 2^n rows of kernel work); lane L's
+  /// arithmetic matches apply() on evaluation L bit-for-bit. The state
+  /// must have num_qubits() qubits (throws std::invalid_argument).
   void apply_batched(sim::BatchedStatevector& sv,
                      std::span<const double> slot_angles,
                      LaneScratch& scratch) const;
@@ -198,6 +196,27 @@ class CompiledCircuit {
   std::vector<circuit::GateKind> matrix_kinds_;  // cache key per matrix
   std::string signature_;
   std::uint64_t hash_ = 0;
+
+  // The k-wide fusion schedule, planned once by compile(). A step with
+  // nd == np == 0 is the lone op ops_[op]; any other step is one
+  // sim::kernels::batched_apply_fused call over ops_[op, op + nd) (the
+  // multiplicative diagonals, descriptors batched_diag_[diag, diag + nd))
+  // followed by np adjacent dense 1q pairs (descriptors
+  // batched_pairs_[pair, pair + np)). Descriptor strides are resolved;
+  // apply_batched points them at the lane entries it builds.
+  struct BatchedStep {
+    std::size_t op = 0;
+    std::size_t diag = 0;
+    std::size_t pair = 0;
+    std::size_t nd = 0;
+    std::size_t np = 0;
+  };
+  std::vector<BatchedStep> batched_steps_;
+  std::vector<sim::kernels::BatchedDiagOp> batched_diag_;
+  std::vector<sim::kernels::BatchedPairOp> batched_pairs_;
+  // Entries per lane of the widest step (4 per diagonal, 8 per pair; 16
+  // for a lone 2q op): the size of LaneScratch::buf per lane.
+  std::size_t batched_entries_ = 16;
 };
 
 }  // namespace qoc::exec

@@ -27,6 +27,7 @@
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
+#include "qoc/sim/kernels.hpp"
 
 namespace qoc::sim {
 
@@ -80,67 +81,18 @@ class BatchedStatevector {
 
   void apply_1q_lanes(const cplx* m, int qubit);
 
-  /// Two dense per-lane 1q gates on distinct qubits (gate A on qubit_a,
-  /// then gate B on qubit_b) fused into one pass over the lane group.
-  /// Bit-identical to two apply_1q_lanes calls -- the 4-row blocks the
-  /// gates close over chain both butterflies in registers -- while
-  /// streaming the k-wide buffer once instead of twice; this is the
-  /// dense-layer analogue of apply_diag_run_lanes.
-  void apply_1q_pair_lanes(const cplx* m_a, int qubit_a, const cplx* m_b,
-                           int qubit_b);
-
-  /// One member of a dense pair run (see apply_1q_pair_run_lanes):
-  /// gate A on qubit_a then gate B on qubit_b, entry-major matrices.
-  struct Pair1qOp {
-    const cplx* m_a = nullptr;
-    int qubit_a = -1;
-    const cplx* m_b = nullptr;
-    int qubit_b = -1;
-  };
-
-  /// Apply `count` dense 1q pairs in order, bit-identical to one
-  /// apply_1q_pair_lanes call per element. Where the kernel supports
-  /// it, the small-stride tail of the run is cache-blocked: a tile of
-  /// the k-wide buffer takes several pair passes while resident, so a
-  /// full rotation layer costs ~2 sweeps of the buffer instead of one
-  /// per pair. Runs longer than kernels::kMaxPairRun are chunked
-  /// (which only forgoes tiling across the boundary).
-  void apply_1q_pair_run_lanes(const Pair1qOp* ops, std::size_t count);
-
   void apply_2q_lanes(const cplx* m, int qubit_a, int qubit_b);
   void apply_diag_1q_lanes(const cplx* d, int qubit);
   void apply_diag_2q_lanes(const cplx* d, int qubit_a, int qubit_b);
 
-  /// One member of a fused diagonal run. `d` is entry-major per lane
-  /// (2 entries per lane for 1q ops, 4 for 2q); qubit_b < 0 marks 1q.
-  struct DiagRunOp {
-    const cplx* d = nullptr;
-    int qubit_a = -1;
-    int qubit_b = -1;
-  };
-
-  /// Apply `count` consecutive diagonal ops in one pass over the state.
-  /// Bit-identical to calling apply_diag_1q_lanes / apply_diag_2q_lanes
-  /// once per op (the per-amplitude product chain is unchanged; only the
-  /// intermediate loads/stores disappear), but touches the k-wide buffer
-  /// once instead of `count` times -- the evaluation-major layout's
-  /// working set is k states, so collapsing passes is what keeps runs of
-  /// diagonal gates (RZZ entangling rings) from paying k times the
-  /// memory traffic of the scalar path.
-  void apply_diag_run_lanes(const DiagRunOp* ops, std::size_t count);
-
-  /// A diagonal run immediately followed by a fused dense 1q pair
-  /// (apply_1q_pair_lanes semantics), all in one pass over the state
-  /// where the kernel supports it. Bit-identical to
-  /// apply_diag_run_lanes(ops, count) then apply_1q_pair_lanes(m_a,
-  /// qubit_a, m_b, qubit_b); runs longer than kMaxDiagRun chunk as in
-  /// apply_diag_run_lanes, with only the final chunk fusing into the
-  /// pair. This is the ring/rotation-layer boundary of a layered
-  /// circuit -- fusing it deletes one full sweep per entangling ring.
-  void apply_diag_run_then_1q_pair_lanes(const DiagRunOp* ops,
-                                         std::size_t count, const cplx* m_a,
-                                         int qubit_a, const cplx* m_b,
-                                         int qubit_b);
+  /// One fused layer step (kernels::batched_apply_fused): `nd`
+  /// diagonals, then `np` dense 1q pairs, with strides and entry-major
+  /// lane buffers already resolved. exec::CompiledCircuit plans these
+  /// steps once per structure, so this call only forwards to the kernel;
+  /// it is bit-identical to applying the step's gates one at a time with
+  /// the methods above, in a fraction of the passes over the buffer.
+  void apply_fused(const kernels::BatchedDiagOp* diag, std::size_t nd,
+                   const kernels::BatchedPairOp* pairs, std::size_t np);
 
   // ---- Single-lane mutation (trajectory noise) ---------------------------
   // The k-wide noisy-trajectory path evolves k trajectories in lockstep:

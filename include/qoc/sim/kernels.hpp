@@ -135,19 +135,6 @@ void apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride);
 void batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
                       std::size_t k, const cplx* m);
 
-/// Two dense 2x2 per-lane gates on DISTINCT qubits fused into one pass:
-/// gate A (stride sa, matrices m_a) then gate B (stride sb, matrices
-/// m_b), exactly as two batched_apply_1q calls would. The two gates'
-/// orbits close over 4-row blocks {i, i+sb, i+sa, i+sa+sb}, so both
-/// butterflies chain in registers per block; each amplitude sees the
-/// identical IEEE operation sequence as the two-pass form (bit-identical
-/// result) while the state streams through memory once instead of twice
-/// -- the dominant cost of the k-wide layout on dense gate layers.
-/// Requires sa != sb.
-void batched_apply_1q_pair(cplx* amps, std::size_t dim, std::size_t sa,
-                           const cplx* m_a, std::size_t sb, const cplx* m_b,
-                           std::size_t k);
-
 /// 4x4 per-lane matrices over each (sa, sb) row group.
 void batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
                       std::size_t sb, std::size_t k, const cplx* m);
@@ -160,9 +147,33 @@ void batched_apply_diag_1q(cplx* amps, std::size_t dim, std::size_t stride,
 void batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
                            std::size_t sb, std::size_t k, const cplx* d);
 
-/// One member of a dense 1q pair run (see batched_apply_1q_pair_run):
-/// gate A (stride sa, entry-major matrices m_a) then gate B (stride sb,
-/// m_b), exactly as one batched_apply_1q_pair call.
+// ---- Fused layer -----------------------------------------------------------
+// Every pass of the k-wide layout streams k states through memory, so a
+// layered circuit's cost is its pass count. One kernel runs one step of
+// a compiled circuit's fusion schedule (exec::CompiledCircuit plans the
+// steps once per structure): a run of multiplicative diagonals (an RZZ
+// entangling ring, RZ layers) and/or a run of dense 1q gate pairs (a
+// rotation layer pairs up completely), in as few passes as the shapes
+// allow. Per amplitude every pass performs the IEEE operation sequence
+// of the separate per-gate passes, so results are bit-identical to one
+// batched_apply_diag_1q/_2q call per diagonal, in order, followed by
+// two batched_apply_1q calls per pair.
+
+/// One diagonal of a fused step. `d` is an entry-major per-lane buffer
+/// like the standalone diag kernels: 2 entries per lane when sb == 0
+/// (1q, indexed by the sa bit), 4 entries per lane otherwise (2q,
+/// indexed (bit_a << 1) | bit_b).
+struct BatchedDiagOp {
+  const cplx* d = nullptr;
+  std::size_t sa = 0;  // row stride of qubit a
+  std::size_t sb = 0;  // row stride of qubit b; 0 marks a 1q diagonal
+};
+
+/// One dense 1q pair of a fused step: gate A (stride sa, entry-major
+/// matrices m_a) then gate B (stride sb, m_b) on distinct qubits
+/// (sa != sb). The two gates' orbits close over 4-row blocks
+/// {i, i+sb, i+sa, i+sa+sb}, so both butterflies chain in registers
+/// per block.
 struct BatchedPairOp {
   std::size_t sa = 0;
   std::size_t sb = 0;
@@ -170,9 +181,12 @@ struct BatchedPairOp {
   const cplx* m_b = nullptr;
 };
 
-/// Longest pair run batched_apply_1q_pair_run accepts in one call
-/// (callers split; a split only costs the tiling opportunity, never
-/// correctness). 8 pairs covers a full rotation layer up to 16 qubits.
+/// Longest diagonal chain one step takes; planners chunk longer runs
+/// (chunk boundaries don't change any amplitude's product chain).
+inline constexpr std::size_t kMaxDiagRun = 32;
+
+/// Longest tiled pair run one step takes (8 pairs cover a rotation
+/// layer up to 16 qubits); a welded step takes one pair more.
 inline constexpr std::size_t kMaxPairRun = 8;
 
 /// Tile footprint target for cache-blocked pair runs: a tile of the
@@ -180,64 +194,27 @@ inline constexpr std::size_t kMaxPairRun = 8;
 /// passes run over it (one quarter of the 2 MiB L2 this targets).
 inline constexpr std::size_t kPairTileBytes = 512 * 1024;
 
-/// Apply `count` dense 1q pairs in order, bit-identical to one
-/// batched_apply_1q_pair call per element. Pairs whose 4-row blocks
-/// span more than a kPairTileBytes tile stream the buffer once each;
-/// the trailing small-span pairs are cache-blocked -- every pair's
-/// blocks sit inside an aligned tile, so the tile takes all their
-/// passes while resident. Only the iteration order of disjoint blocks
-/// changes, never any amplitude's operation sequence. A rotation layer
-/// (strides descending) thus costs ~2 full-buffer sweeps instead of
-/// one per pair -- the k-wide layout's dominant cost at the top of the
-/// supported size range.
-void batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
-                               const BatchedPairOp* pairs, std::size_t count,
-                               std::size_t k);
-
-/// One member of a fused diagonal run (see batched_apply_diag_run).
-/// `d` is an entry-major per-lane buffer like the standalone diag
-/// kernels: 2 entries per lane when sb == 0 (1q, indexed by the sa bit),
-/// 4 entries per lane otherwise (2q, indexed (bit_a << 1) | bit_b).
-struct BatchedDiagOp {
-  const cplx* d = nullptr;
-  std::size_t sa = 0;  // row stride of qubit a
-  std::size_t sb = 0;  // row stride of qubit b; 0 marks a 1q diagonal
-};
-
-/// Longest run batched_apply_diag_run accepts in one call; callers split
-/// longer runs (chunk boundaries don't change the per-element product
-/// chain, so splitting is invisible in the results).
-inline constexpr std::size_t kMaxDiagRun = 32;
-
-/// Apply `count` consecutive diagonal ops in ONE pass over the k-wide
-/// state. Diagonals are elementwise, so for each amplitude the ops chain
-/// in registers: amp <- d_count * (... * (d_1 * amp)). Every intermediate
-/// product is rounded to double exactly as the stored intermediate of
-/// `count` separate passes would be, so the result is bit-identical to
-/// calling batched_apply_diag_1q/_2q once per op -- the fusion only
-/// deletes the O(count * dim * k) intermediate loads and stores, which
-/// is where the evaluation-major layout (k times the working set of one
-/// state) otherwise pays for its extra memory traffic.
-void batched_apply_diag_run(cplx* amps, std::size_t dim,
-                            const BatchedDiagOp* ops, std::size_t count,
-                            std::size_t k);
-
-/// A diagonal run immediately followed by a fused dense 1q pair
-/// (batched_apply_1q_pair semantics: gate A stride sa then gate B
-/// stride sb, sa != sb), all in ONE pass: each 4-row block's amplitudes
-/// run their diag product chains in registers and feed straight into
-/// the two butterflies. Per amplitude the IEEE operation sequence
-/// equals batched_apply_diag_run followed by batched_apply_1q_pair
-/// (bit-identical), with one sweep of the k-wide buffer instead of two.
-/// This is the boundary a circuit of alternating entangling rings and
-/// rotation layers crosses once per ring, so fusing it deletes one of
-/// the layer-count-many passes per ring. count must be <= kMaxDiagRun
-/// (callers chunk; only the final chunk fuses with the pair).
-void batched_apply_diag_run_then_1q_pair(cplx* amps, std::size_t dim,
-                                         const BatchedDiagOp* ops,
-                                         std::size_t count, std::size_t sa,
-                                         const cplx* m_a, std::size_t sb,
-                                         const cplx* m_b, std::size_t k);
+/// One fused step: `nd` diagonals then `np` dense pairs.
+///  * nd > 0, np == 0 -- the chain: one row-sequential pass in which
+///    each amplitude runs its product chain in registers
+///    (amp <- d_nd * (... * (d_1 * amp)), every intermediate rounded to
+///    double exactly as a stored intermediate would be).
+///  * nd > 0, np > 0 -- the weld: the chain rides pairs[0]'s 4-row block
+///    pass, each block's amplitudes feeding straight into the two
+///    butterflies; pairs[1..np) then run as the tiled run below.
+///  * nd == 0 -- the tiled run: pairs whose 4-row blocks span more than
+///    a kPairTileBytes tile stream the buffer once each; the trailing
+///    small-span pairs are cache-blocked -- every pair's blocks sit
+///    inside an aligned tile, so the tile takes all their passes while
+///    resident. Only the order of disjoint blocks changes. A rotation
+///    layer thus costs ~2 sweeps instead of one per pair; one pair is
+///    one pass.
+/// Requires nd <= kMaxDiagRun, at most kMaxPairRun pairs in the tiled
+/// run, and sa != sb for every pair (throws std::invalid_argument).
+void batched_apply_fused(cplx* amps, std::size_t dim,
+                         const BatchedDiagOp* diag, std::size_t nd,
+                         const BatchedPairOp* pairs, std::size_t np,
+                         std::size_t k);
 
 /// Structured lane-invariant row permutations / sign flips.
 void batched_apply_cx(cplx* amps, std::size_t dim, std::size_t sc,
@@ -331,25 +308,15 @@ struct SimdVTable {
   // fall back to the portable per-lane loops.
   void (*batched_apply_1q)(cplx*, std::size_t, std::size_t, std::size_t,
                            const cplx*) = nullptr;
-  void (*batched_apply_1q_pair)(cplx*, std::size_t, std::size_t, const cplx*,
-                                std::size_t, const cplx*,
-                                std::size_t) = nullptr;
-  void (*batched_apply_1q_pair_run)(cplx*, std::size_t, const BatchedPairOp*,
-                                    std::size_t, std::size_t) = nullptr;
   void (*batched_apply_2q)(cplx*, std::size_t, std::size_t, std::size_t,
                            std::size_t, const cplx*) = nullptr;
   void (*batched_apply_diag_1q)(cplx*, std::size_t, std::size_t, std::size_t,
                                 const cplx*) = nullptr;
   void (*batched_apply_diag_2q)(cplx*, std::size_t, std::size_t, std::size_t,
                                 std::size_t, const cplx*) = nullptr;
-  void (*batched_apply_diag_run_then_1q_pair)(cplx*, std::size_t,
-                                              const BatchedDiagOp*,
-                                              std::size_t, std::size_t,
-                                              const cplx*, std::size_t,
-                                              const cplx*,
-                                              std::size_t) = nullptr;
-  void (*batched_apply_diag_run)(cplx*, std::size_t, const BatchedDiagOp*,
-                                 std::size_t, std::size_t) = nullptr;
+  void (*batched_apply_fused)(cplx*, std::size_t, const BatchedDiagOp*,
+                              std::size_t, const BatchedPairOp*, std::size_t,
+                              std::size_t) = nullptr;
   void (*batched_apply_pauli_y)(cplx*, std::size_t, std::size_t,
                                 std::size_t) = nullptr;
   void (*batched_kraus_weight)(const cplx*, std::size_t, std::size_t,

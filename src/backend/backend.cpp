@@ -527,6 +527,7 @@ struct DensityTables {
   }
 
   sim::DensityMatrix evolve(const transpile::Transpiled& t) const {
+    QOC_TRACE_SPAN("kernel", "density_evolve");
     sim::DensityMatrix rho(reg.n);
     std::vector<int> qs;
     for (const auto& op : t.ops) {
@@ -967,6 +968,7 @@ std::vector<double> NoisyBackend::run_transpiled(
     }
   };
 
+  QOC_TRACE_SPAN("kernel", "noisy_trajectories");
   tables.run_trajectories(
       t, execution_rng(serial),
       [&] {
@@ -1037,6 +1039,7 @@ double NoisyBackend::expect_transpiled(
   // flips, then group 1, ... at every lane width. All-Z groups have no
   // suffix and sample the trajectory state directly instead of paying
   // an O(2^n) copy.
+  QOC_TRACE_SPAN("kernel", "noisy_trajectories");
   tables.run_trajectories(
       t, execution_rng(serial),
       [&] {

@@ -1,5 +1,7 @@
 #include "qoc/exec/compiled_circuit.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <functional>
@@ -20,6 +22,35 @@ namespace {
 
 bool is_diag_2q_kind(GateKind k) {
   return k == GateKind::Rzz || k == GateKind::Crz || k == GateKind::Cp;
+}
+
+/// Ops fusable into one diagonal pass: everything whose batched arm is a
+/// per-lane complex *multiply* (PauliZ / Cz negate instead, so folding
+/// them into a product chain would perturb signed zeros).
+bool is_mult_diag_op(const CompiledOp& op) {
+  switch (op.code) {
+    case OpCode::Diag1q:
+      return true;
+    case OpCode::Rot1q:
+      return op.kind == GateKind::Rz || op.kind == GateKind::Phase;
+    case OpCode::Rot2q:
+      return is_diag_2q_kind(op.kind);
+    default:
+      return false;
+  }
+}
+
+/// Ops the batched path lowers to a dense per-lane 2x2 (candidates for
+/// the fused pair passes).
+bool is_dense_1q_op(const CompiledOp& op) {
+  switch (op.code) {
+    case OpCode::Fixed1q:
+      return true;
+    case OpCode::Rot1q:
+      return !(op.kind == GateKind::Rz || op.kind == GateKind::Phase);
+    default:
+      return false;
+  }
 }
 
 /// 2x2 entries of an angle-dependent 1q gate, row-major. Mirrors the
@@ -323,6 +354,53 @@ CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c) {
     }
     plan.ops_.push_back(std::move(out));
   }
+
+  // ---- Plan the k-wide fusion schedule ------------------------------------
+  // A run of >= 2 multiplicative diagonals chains in kMaxDiagRun chunks;
+  // the last chunk welds into the dense pairs right after it. Adjacent
+  // dense 1q gates on distinct qubits pair up greedily into tiled runs of
+  // up to kMaxPairRun (a rotation layer pairs up completely). Every other
+  // op is a step of its own.
+  using sim::kernels::kMaxDiagRun;
+  using sim::kernels::kMaxPairRun;
+  const int n = c.num_qubits();
+  const auto stride = [n](std::int32_t q) {
+    return std::size_t{1} << (n - 1 - q);
+  };
+  const auto& ops = plan.ops_;
+  const auto pairable = [&ops](std::size_t i) {
+    return i + 1 < ops.size() && is_dense_1q_op(ops[i]) &&
+           is_dense_1q_op(ops[i + 1]) && ops[i].q0 != ops[i + 1].q0;
+  };
+  // A step over the diagonals ops[op, op + nd), pairs still to come.
+  const auto open_step = [&](std::size_t op, std::size_t nd) {
+    for (std::size_t r = op; r < op + nd; ++r)
+      plan.batched_diag_.push_back(
+          {nullptr, stride(ops[r].q0),
+           ops[r].code == OpCode::Rot2q ? stride(ops[r].q1) : 0});
+    return BatchedStep{op, plan.batched_diag_.size() - nd,
+                       plan.batched_pairs_.size(), nd, 0};
+  };
+  const auto close_step = [&plan](const BatchedStep& step) {
+    plan.batched_entries_ =
+        std::max(plan.batched_entries_, 4 * step.nd + 8 * step.np);
+    plan.batched_steps_.push_back(step);
+  };
+  for (std::size_t i = 0; i < ops.size();) {
+    std::size_t end = i;
+    while (end < ops.size() && is_mult_diag_op(ops[end])) ++end;
+    if (end - i < 2) end = i;  // a lone diagonal is a step of its own
+    for (; end - i > kMaxDiagRun; i += kMaxDiagRun)
+      close_step(open_step(i, kMaxDiagRun));
+    BatchedStep step = open_step(i, end - i);
+    i = end;
+    const std::size_t max_np = kMaxPairRun + (step.nd > 0 ? 1 : 0);
+    for (; step.np < max_np && pairable(i); ++step.np, i += 2)
+      plan.batched_pairs_.push_back(
+          {stride(ops[i].q0), stride(ops[i + 1].q0), nullptr, nullptr});
+    if (step.nd + step.np == 0) ++i;
+    close_step(step);
+  }
   return plan;
 }
 
@@ -454,57 +532,22 @@ void CompiledCircuit::resolve_slots_lanes(std::span<const Evaluation> evals,
   }
 }
 
-namespace {
-
-/// Ops fusable into one diagonal pass: everything whose batched arm is a
-/// per-lane complex *multiply* (PauliZ / Cz negate instead, so folding
-/// them into a product chain would perturb signed zeros).
-bool is_mult_diag_op(const CompiledOp& op) {
-  switch (op.code) {
-    case OpCode::Diag1q:
-      return true;
-    case OpCode::Rot1q:
-      return op.kind == GateKind::Rz || op.kind == GateKind::Phase;
-    case OpCode::Rot2q:
-      return is_diag_2q_kind(op.kind);
-    default:
-      return false;
-  }
-}
-
-// Ops the batched path lowers to a dense per-lane 2x2 (candidates for
-// the fused pair pass; see BatchedStatevector::apply_1q_pair_lanes).
-bool is_dense_1q_op(const CompiledOp& op) {
-  switch (op.code) {
-    case OpCode::Fixed1q:
-      return true;
-    case OpCode::Rot1q:
-      return !(op.kind == GateKind::Rz || op.kind == GateKind::Phase);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
                                     std::span<const double> slot_angles,
                                     LaneScratch& scratch) const {
+  using sim::kernels::kMaxDiagRun;
+  using sim::kernels::kMaxPairRun;
+  // The schedule's strides were resolved for num_qubits() qubits.
+  if (sv.num_qubits() != num_qubits())
+    throw std::invalid_argument("apply_batched: register size mismatch");
   const std::size_t k = sv.lanes();
-  // Entry-major per-lane scratch; 16 entries covers the dense 2q case.
-  // buf2 holds the second matrix of a fused dense pair.
   auto& buf = scratch.buf;
-  auto& buf2 = scratch.buf2;
-  buf.resize(16 * k);
-  buf2.resize(4 * k);
+  buf.resize(batched_entries_ * k);
   const auto angle_at = [&](std::int32_t slot, std::size_t lane) {
     return slot_angles[static_cast<std::size_t>(slot) * k + lane];
   };
 
-  // Lower one dense 1q op (see is_dense_1q_op) to its entry-major
-  // per-lane matrix. Entry construction is byte-for-byte the switch arms
-  // below, so routing an op through the fused pair pass cannot perturb
-  // its lane matrices.
+  // Per-lane entries of one dense 1q op (is_dense_1q_op): 4 per lane.
   const auto build_dense_1q = [&](const CompiledOp& op, cplx* out) {
     switch (op.code) {
       case OpCode::Fixed1q: {
@@ -529,120 +572,60 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
     }
   };
 
-  // Scratch for fused diagonal runs: entry buffers (4 entries x k per op)
-  // plus the op descriptors handed to the kernel.
-  auto& diag_buf = scratch.diag_buf;
-  auto& diag_run = scratch.diag_run;
-  // Scratch for dense pair runs (8 entries x k per pair).
-  auto& pair_buf = scratch.pair_buf;
-  auto& pair_run = scratch.pair_run;
-  // Lower ops_[begin, end) -- all multiplicative diagonals -- into the
-  // entry buffers one fused pass consumes. Entry construction per op is
-  // byte-for-byte the switch arms below; only the number of sweeps over
-  // the state changes.
-  const auto build_diag_run = [&](std::size_t begin, std::size_t end) {
-    const std::size_t len = end - begin;
-    diag_buf.resize(len * 4 * k);
-    diag_run.resize(len);
-    for (std::size_t r = 0; r < len; ++r) {
-      const CompiledOp& op = ops_[begin + r];
-      cplx* d = diag_buf.data() + r * 4 * k;
-      auto& out = diag_run[r];
-      out.d = d;
-      out.qubit_a = op.q0;
-      out.qubit_b = -1;
-      switch (op.code) {
-        case OpCode::Diag1q: {
-          const Matrix& m = matrices_[static_cast<std::size_t>(op.matrix)];
-          std::fill_n(d, k, m(0, 0));
-          std::fill_n(d + k, k, m(1, 1));
-          break;
+  // Per-lane diagonal of one multiplicative diagonal op
+  // (is_mult_diag_op): 2 entries per lane for 1q, 4 for 2q.
+  const auto build_diag = [&](const CompiledOp& op, cplx* d) {
+    switch (op.code) {
+      case OpCode::Diag1q: {
+        const Matrix& m = matrices_[static_cast<std::size_t>(op.matrix)];
+        std::fill_n(d, k, m(0, 0));
+        std::fill_n(d + k, k, m(1, 1));
+        break;
+      }
+      case OpCode::Rot1q: {
+        cplx m[4];
+        for (std::size_t l = 0; l < k; ++l) {
+          rot1q_entries(op.kind, angle_at(op.slot, l), m);
+          d[l] = m[0];
+          d[k + l] = m[3];
         }
-        case OpCode::Rot1q: {
-          cplx m[4];
-          for (std::size_t l = 0; l < k; ++l) {
-            rot1q_entries(op.kind, angle_at(op.slot, l), m);
-            d[l] = m[0];
-            d[k + l] = m[3];
-          }
-          break;
+        break;
+      }
+      default: {  // Rot2q, diagonal kind
+        cplx e[4];
+        for (std::size_t l = 0; l < k; ++l) {
+          rot2q_diag_entries(op.kind, angle_at(op.slot, l), e);
+          for (int j = 0; j < 4; ++j)
+            d[static_cast<std::size_t>(j) * k + l] = e[j];
         }
-        default: {  // Rot2q, diagonal kind
-          out.qubit_b = op.q1;
-          cplx e[4];
-          for (std::size_t l = 0; l < k; ++l) {
-            rot2q_diag_entries(op.kind, angle_at(op.slot, l), e);
-            for (int j = 0; j < 4; ++j)
-              d[static_cast<std::size_t>(j) * k + l] = e[j];
-          }
-          break;
-        }
+        break;
       }
     }
   };
 
-  for (std::size_t oi = 0; oi < ops_.size(); ++oi) {
-    const auto& op = ops_[oi];
-    if (is_mult_diag_op(op)) {
-      std::size_t end = oi + 1;
-      while (end < ops_.size() && is_mult_diag_op(ops_[end])) ++end;
-      if (end - oi >= 2) {
-        build_diag_run(oi, end);
-        // When the run butts into a dense pair (an entangling ring
-        // followed by the next rotation layer), fuse the run into the
-        // pair's pass -- one sweep fewer per ring, bit-identical.
-        if (end + 1 < ops_.size() && is_dense_1q_op(ops_[end]) &&
-            is_dense_1q_op(ops_[end + 1]) && ops_[end].q0 != ops_[end + 1].q0) {
-          build_dense_1q(ops_[end], buf.data());
-          build_dense_1q(ops_[end + 1], buf2.data());
-          sv.apply_diag_run_then_1q_pair_lanes(diag_run.data(), end - oi,
-                                               buf.data(), ops_[end].q0,
-                                               buf2.data(), ops_[end + 1].q0);
-          oi = end + 1;
-          continue;
-        }
-        sv.apply_diag_run_lanes(diag_run.data(), end - oi);
-        oi = end - 1;
-        continue;
+  std::array<sim::kernels::BatchedDiagOp, kMaxDiagRun> diag;
+  std::array<sim::kernels::BatchedPairOp, kMaxPairRun + 1> pairs;
+  for (const BatchedStep& step : batched_steps_) {
+    const CompiledOp* first = ops_.data() + step.op;
+    if (step.nd + step.np > 0) {
+      cplx* e = buf.data();
+      for (std::size_t r = 0; r < step.nd; ++r, e += 4 * k) {
+        diag[r] = batched_diag_[step.diag + r];
+        diag[r].d = e;
+        build_diag(first[r], e);
       }
+      const CompiledOp* dense = first + step.nd;
+      for (std::size_t p = 0; p < step.np; ++p, e += 8 * k) {
+        pairs[p] = batched_pairs_[step.pair + p];
+        pairs[p].m_a = e;
+        pairs[p].m_b = e + 4 * k;
+        build_dense_1q(dense[2 * p], e);
+        build_dense_1q(dense[2 * p + 1], e + 4 * k);
+      }
+      sv.apply_fused(diag.data(), step.nd, pairs.data(), step.np);
+      continue;
     }
-    if (is_dense_1q_op(op) && oi + 1 < ops_.size()) {
-      // Fuse adjacent dense 1q gates on distinct qubits into pair
-      // passes (a rotation layer pairs up completely; the greedy
-      // adjacent pairing is bit-identical to gate-at-a-time), and hand
-      // the whole run of pairs to the tiled driver so the small-stride
-      // tail of a layer is cache-blocked into one sweep. Wider
-      // register-level fusion (16-row quad blocks) was measured
-      // slower -- the block-local vector array spills and the
-      // scattered 16-row gather cost more than the saved pass.
-      std::size_t np = 0;
-      std::size_t j = oi;
-      while (j + 1 < ops_.size() && is_dense_1q_op(ops_[j]) &&
-             is_dense_1q_op(ops_[j + 1]) && ops_[j + 1].q0 != ops_[j].q0) {
-        ++np;
-        j += 2;
-      }
-      if (np >= 1) {
-        pair_buf.resize(np * 8 * k);
-        pair_run.resize(np);
-        for (std::size_t p = 0; p < np; ++p) {
-          const auto& a = ops_[oi + 2 * p];
-          const auto& b = ops_[oi + 2 * p + 1];
-          cplx* ma = pair_buf.data() + p * 8 * k;
-          cplx* mb = ma + 4 * k;
-          build_dense_1q(a, ma);
-          build_dense_1q(b, mb);
-          pair_run[p] = {ma, a.q0, mb, b.q0};
-        }
-        if (np == 1)
-          sv.apply_1q_pair_lanes(pair_run[0].m_a, pair_run[0].qubit_a,
-                                 pair_run[0].m_b, pair_run[0].qubit_b);
-        else
-          sv.apply_1q_pair_run_lanes(pair_run.data(), np);
-        oi += 2 * np - 1;
-        continue;
-      }
-    }
+    const CompiledOp& op = *first;
     switch (op.code) {
       case OpCode::PauliX:
         sv.apply_pauli_x(op.q0);
@@ -678,39 +661,29 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
         sv.apply_matrix(matrices_[static_cast<std::size_t>(op.matrix)],
                         op.qubits);
         break;
-      case OpCode::Rot1q: {
-        cplx m[4];
-        if (op.kind == GateKind::Rz || op.kind == GateKind::Phase) {
-          for (std::size_t l = 0; l < k; ++l) {
-            rot1q_entries(op.kind, angle_at(op.slot, l), m);
-            buf[l] = m[0];
-            buf[k + l] = m[3];
-          }
+      case OpCode::Rot1q:
+        if (is_mult_diag_op(op)) {
+          build_diag(op, buf.data());
           sv.apply_diag_1q_lanes(buf.data(), op.q0);
         } else {
           build_dense_1q(op, buf.data());
           sv.apply_1q_lanes(buf.data(), op.q0);
         }
         break;
-      }
-      case OpCode::Rot2q: {
-        if (is_diag_2q_kind(op.kind)) {
-          cplx d[4];
-          for (std::size_t l = 0; l < k; ++l) {
-            rot2q_diag_entries(op.kind, angle_at(op.slot, l), d);
-            for (int e = 0; e < 4; ++e) buf[static_cast<std::size_t>(e) * k + l] = d[e];
-          }
+      case OpCode::Rot2q:
+        if (is_mult_diag_op(op)) {
+          build_diag(op, buf.data());
           sv.apply_diag_2q_lanes(buf.data(), op.q0, op.q1);
         } else {
           cplx m[16];
           for (std::size_t l = 0; l < k; ++l) {
             rot2q_entries(op.kind, angle_at(op.slot, l), m);
-            for (int e = 0; e < 16; ++e) buf[static_cast<std::size_t>(e) * k + l] = m[e];
+            for (int e = 0; e < 16; ++e)
+              buf[static_cast<std::size_t>(e) * k + l] = m[e];
           }
           sv.apply_2q_lanes(buf.data(), op.q0, op.q1);
         }
         break;
-      }
     }
   }
 }

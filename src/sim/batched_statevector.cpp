@@ -247,32 +247,6 @@ void BatchedStatevector::apply_1q_lanes(const cplx* m, int qubit) {
   kernels::batched_apply_1q(amps_.data(), dim_, stride_of(qubit), lanes_, m);
 }
 
-void BatchedStatevector::apply_1q_pair_lanes(const cplx* m_a, int qubit_a,
-                                             const cplx* m_b, int qubit_b) {
-  check_pair(qubit_a, qubit_b, "apply_1q_pair_lanes: qubit pair");
-  kernels::batched_apply_1q_pair(amps_.data(), dim_, stride_of(qubit_a), m_a,
-                                 stride_of(qubit_b), m_b, lanes_);
-}
-
-void BatchedStatevector::apply_1q_pair_run_lanes(const Pair1qOp* ops,
-                                                 std::size_t count) {
-  std::array<kernels::BatchedPairOp, kernels::kMaxPairRun> run;
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t n = std::min(count - done, run.size());
-    for (std::size_t r = 0; r < n; ++r) {
-      const Pair1qOp& op = ops[done + r];
-      check_pair(op.qubit_a, op.qubit_b,
-                 "apply_1q_pair_run_lanes: qubit pair");
-      run[r] = {stride_of(op.qubit_a), stride_of(op.qubit_b), op.m_a,
-                op.m_b};
-    }
-    kernels::batched_apply_1q_pair_run(amps_.data(), dim_, run.data(), n,
-                                       lanes_);
-    done += n;
-  }
-}
-
 void BatchedStatevector::apply_2q_lanes(const cplx* m, int qubit_a,
                                         int qubit_b) {
   check_pair(qubit_a, qubit_b, "apply_2q_lanes: qubit pair");
@@ -293,74 +267,12 @@ void BatchedStatevector::apply_diag_2q_lanes(const cplx* d, int qubit_a,
                                  stride_of(qubit_b), lanes_, d);
 }
 
-void BatchedStatevector::apply_diag_run_lanes(const DiagRunOp* ops,
-                                              std::size_t count) {
-  std::array<kernels::BatchedDiagOp, kernels::kMaxDiagRun> run;
-  std::size_t fill = 0;
-  for (std::size_t r = 0; r < count; ++r) {
-    const DiagRunOp& op = ops[r];
-    kernels::BatchedDiagOp out;
-    out.d = op.d;
-    if (op.qubit_b >= 0) {
-      check_pair(op.qubit_a, op.qubit_b, "apply_diag_run_lanes: qubit pair");
-      out.sa = stride_of(op.qubit_a);
-      out.sb = stride_of(op.qubit_b);
-    } else {
-      check_qubit(op.qubit_a, "apply_diag_run_lanes: qubit index");
-      out.sa = stride_of(op.qubit_a);
-      out.sb = 0;
-    }
-    run[fill++] = out;
-    if (fill == run.size()) {
-      kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), fill,
-                                      lanes_);
-      fill = 0;
-    }
-  }
-  if (fill > 0)
-    kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), fill,
-                                    lanes_);
-}
-
-void BatchedStatevector::apply_diag_run_then_1q_pair_lanes(
-    const DiagRunOp* ops, std::size_t count, const cplx* m_a, int qubit_a,
-    const cplx* m_b, int qubit_b) {
-  check_pair(qubit_a, qubit_b, "apply_diag_run_then_1q_pair_lanes: qubit pair");
-  std::array<kernels::BatchedDiagOp, kernels::kMaxDiagRun> run;
-  std::size_t done = 0;
-  // Full chunks go through the plain run kernel; only the final chunk
-  // (or an empty run) fuses with the dense pair. Chunk boundaries don't
-  // change any amplitude's product chain, so this is invisible in the
-  // results.
-  do {
-    const std::size_t n = std::min(count - done, run.size());
-    for (std::size_t r = 0; r < n; ++r) {
-      const DiagRunOp& op = ops[done + r];
-      kernels::BatchedDiagOp out;
-      out.d = op.d;
-      if (op.qubit_b >= 0) {
-        check_pair(op.qubit_a, op.qubit_b,
-                   "apply_diag_run_then_1q_pair_lanes: qubit pair");
-        out.sa = stride_of(op.qubit_a);
-        out.sb = stride_of(op.qubit_b);
-      } else {
-        check_qubit(op.qubit_a,
-                    "apply_diag_run_then_1q_pair_lanes: qubit index");
-        out.sa = stride_of(op.qubit_a);
-        out.sb = 0;
-      }
-      run[r] = out;
-    }
-    done += n;
-    if (done == count) {
-      kernels::batched_apply_diag_run_then_1q_pair(
-          amps_.data(), dim_, run.data(), n, stride_of(qubit_a), m_a,
-          stride_of(qubit_b), m_b, lanes_);
-    } else {
-      kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), n,
-                                      lanes_);
-    }
-  } while (done < count);
+void BatchedStatevector::apply_fused(const kernels::BatchedDiagOp* diag,
+                                     std::size_t nd,
+                                     const kernels::BatchedPairOp* pairs,
+                                     std::size_t np) {
+  kernels::batched_apply_fused(amps_.data(), dim_, diag, nd, pairs, np,
+                               lanes_);
 }
 
 // ---- Single-lane mutation (trajectory noise) -------------------------------

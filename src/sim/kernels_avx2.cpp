@@ -67,6 +67,10 @@ inline __m256d cmul_pre(__m256d a, __m256d a_sw, __m256d b_re, __m256d b_im) {
 
 inline __m256d swap_ri(__m256d a) { return _mm256_permute_pd(a, 0x5); }
 
+// Widest lane-pair count of a batched kernel (BatchedStatevector::kMaxLanes
+// / 2): sizes the per-call pre-split entry tables.
+constexpr std::size_t kMaxLp = 16;
+
 // True when every entry's imaginary part is (+/-)0 -- gates whose
 // complex products reduce to componentwise scaling (ry, h). The dense
 // kernels use this to pick real-matrix butterflies; the dropped
@@ -286,7 +290,6 @@ void avx2_batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
   // branches) take the real-butterfly path -- componentwise scaling, as
   // in the pair kernels; the dropped im-part products are exact zeros,
   // so only zero signs can change (see kernels.hpp).
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
   __m256d re[4][kMaxLp], im[4][kMaxLp];
   const std::size_t lp = k / 2;
   for (int e = 0; e < 4; ++e)
@@ -393,7 +396,6 @@ void avx2_batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
 void avx2_batched_apply_diag_1q(cplx* amps, std::size_t dim,
                                 std::size_t stride, std::size_t k,
                                 const cplx* d) {
-  constexpr std::size_t kMaxLp = 16;
   __m256d re[2][kMaxLp], im[2][kMaxLp];
   const std::size_t lp = k / 2;
   for (int e = 0; e < 2; ++e)
@@ -421,7 +423,6 @@ void avx2_batched_apply_diag_1q(cplx* amps, std::size_t dim,
 void avx2_batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
                                 std::size_t sb, std::size_t k,
                                 const cplx* d) {
-  constexpr std::size_t kMaxLp = 16;
   __m256d re[4][kMaxLp], im[4][kMaxLp];
   const std::size_t lp = k / 2;
   for (int e = 0; e < 4; ++e)
@@ -449,55 +450,6 @@ void avx2_batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
   }
 }
 
-void avx2_batched_apply_diag_run(cplx* amps, std::size_t dim,
-                                 const BatchedDiagOp* ops, std::size_t count,
-                                 std::size_t k) {
-  // Every op's entries are pre-split into re/im halves once per call
-  // (layout [op][entry][lanepair][re|im]), the per-row entry offsets are
-  // resolved once per row, and two rows run interleaved: the product
-  // chain of one amplitude is serial by construction (that's what makes
-  // it bit-identical to `count` separate passes), so a second row's
-  // chains are what keeps the multiply units busy during each step's
-  // latency.
-  const std::size_t lp = k / 2;
-  std::vector<__m256d> pre(count * 4 * lp * 2);
-  for (std::size_t r = 0; r < count; ++r) {
-    const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
-    for (std::size_t e = 0; e < entries; ++e)
-      for (std::size_t l = 0; l < lp; ++l) {
-        __m256d* slot = pre.data() + ((r * 4 + e) * lp + l) * 2;
-        split_entry(ops[r].d + e * k, 2 * l, slot[0], slot[1]);
-      }
-  }
-  const auto entry_base = [&](std::size_t i, std::size_t r) {
-    const BatchedDiagOp& op = ops[r];
-    std::size_t e = (i & op.sa) ? 1 : 0;
-    if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
-    return (r * 4 + e) * lp * 2;
-  };
-  std::size_t eoff0[kMaxDiagRun], eoff1[kMaxDiagRun];
-  for (std::size_t i = 0; i < dim; i += 2) {
-    for (std::size_t r = 0; r < count; ++r) {
-      eoff0[r] = entry_base(i, r);
-      eoff1[r] = entry_base(i + 1, r);
-    }
-    cplx* p0 = amps + i * k;
-    cplx* p1 = p0 + k;
-    for (std::size_t l = 0; l < lp; ++l) {
-      __m256d a0 = load2(p0 + 2 * l);
-      __m256d a1 = load2(p1 + 2 * l);
-      for (std::size_t r = 0; r < count; ++r) {
-        const __m256d* d0 = pre.data() + eoff0[r] + 2 * l;
-        const __m256d* d1 = pre.data() + eoff1[r] + 2 * l;
-        a0 = cmul_pre(a0, swap_ri(a0), d0[0], d0[1]);
-        a1 = cmul_pre(a1, swap_ri(a1), d1[0], d1[1]);
-      }
-      store2(p0 + 2 * l, a0);
-      store2(p1 + 2 * l, a1);
-    }
-  }
-}
-
 void avx2_batched_apply_pauli_y(cplx* amps, std::size_t dim,
                                 std::size_t stride, std::size_t k) {
   const cplx neg_i{0.0, -1.0};
@@ -517,411 +469,248 @@ void avx2_batched_apply_pauli_y(cplx* amps, std::size_t dim,
   }
 }
 
+// ---- Fused layer (batched_apply_fused) -------------------------------------
+// One copy of each piece: the diagonal chain (pre-split entries, per-row
+// entry selection), the dense pair butterfly (real or complex) and the
+// 4-row block walk that feeds the chain into the butterfly. The
+// diagonal-only pass, the weld and the tiled pair run are compositions
+// of these. Per amplitude every form performs the operation sequence of
+// the separate per-gate passes, so results stay bit-identical.
 
-void avx2_batched_apply_1q_pair(cplx* amps, std::size_t dim, std::size_t sa,
-                                const cplx* m_a, std::size_t sb,
-                                const cplx* m_b, std::size_t k) {
-  // Both matrices pre-split once per call (as avx2_batched_apply_1q);
-  // each 4-row block then chains gate A's and gate B's butterflies in
-  // registers -- one sweep over the lane group instead of two. Per lane
-  // this is the identical operation sequence to two separate passes
-  // (cmul_pre == cmul expression-for-expression, intermediates held in
-  // registers round-trip exactly), so results stay bit-identical.
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[4][kMaxLp], ima[4][kMaxLp], reb[4][kMaxLp], imb[4][kMaxLp];
-  const std::size_t lp = k / 2;
-  for (int e = 0; e < 4; ++e) {
-    for (std::size_t l = 0; l < lp; ++l) {
-      split_entry(m_a + static_cast<std::size_t>(e) * k, 2 * l, rea[e][l],
-                  ima[e][l]);
-      split_entry(m_b + static_cast<std::size_t>(e) * k, 2 * l, reb[e][l],
-                  imb[e][l]);
+/// A step's diagonal chain: every op's entries pre-split into re/im
+/// halves once per call (layout [op][entry][lane pair][re|im]).
+struct DiagChain {
+  DiagChain(const BatchedDiagOp* o, std::size_t n, std::size_t k)
+      : ops(o), count(n), lp(k / 2), pre(n * 4 * lp * 2) {
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
+      for (std::size_t e = 0; e < entries; ++e)
+        for (std::size_t l = 0; l < lp; ++l) {
+          __m256d* slot = pre.data() + ((r * 4 + e) * lp + l) * 2;
+          split_entry(ops[r].d + e * k, 2 * l, slot[0], slot[1]);
+        }
     }
   }
+
+  /// Offset in `pre` of op r's entry for row i (lane pair 0).
+  std::size_t entry(std::size_t i, std::size_t r) const {
+    const BatchedDiagOp& op = ops[r];
+    std::size_t e = (i & op.sa) ? 1 : 0;
+    if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
+    return (r * 4 + e) * lp * 2;
+  }
+
+  const BatchedDiagOp* ops;
+  std::size_t count;
+  std::size_t lp;
+  std::vector<__m256d> pre;
+};
+
+/// The diagonal-only pass: row-sequential, each amplitude chains its
+/// products in registers, two rows interleaved -- one amplitude's chain
+/// is serial by construction, so the second row's chain is what keeps
+/// the multiply units busy during each step's latency.
+void diag_rows(cplx* amps, std::size_t dim, std::size_t k,
+               const DiagChain& chain) {
+  std::size_t e0[kMaxDiagRun], e1[kMaxDiagRun];
+  for (std::size_t i = 0; i < dim; i += 2) {
+    for (std::size_t r = 0; r < chain.count; ++r) {
+      e0[r] = chain.entry(i, r);
+      e1[r] = chain.entry(i + 1, r);
+    }
+    cplx* p0 = amps + i * k;
+    cplx* p1 = p0 + k;
+    for (std::size_t l = 0; l < chain.lp; ++l) {
+      __m256d a0 = load2(p0 + 2 * l);
+      __m256d a1 = load2(p1 + 2 * l);
+      for (std::size_t r = 0; r < chain.count; ++r) {
+        const __m256d* d0 = chain.pre.data() + e0[r] + 2 * l;
+        const __m256d* d1 = chain.pre.data() + e1[r] + 2 * l;
+        a0 = cmul_pre(a0, swap_ri(a0), d0[0], d0[1]);
+        a1 = cmul_pre(a1, swap_ri(a1), d1[0], d1[1]);
+      }
+      store2(p0 + 2 * l, a0);
+      store2(p1 + 2 * l, a1);
+    }
+  }
+}
+
+/// One dense pair's matrices, pre-split per lane pair. `real` selects
+/// the real-matrix butterflies: both gate matrices purely real
+/// (rotation layers: ry, h), so each component just scales -- the
+/// dropped im-part products are exact zeros whose only effect is the
+/// sign of zero results (see kernels.hpp), at less than half the vector
+/// ops of the complex form.
+struct PairMatrices {
+  __m256d rea[4][kMaxLp], ima[4][kMaxLp], reb[4][kMaxLp], imb[4][kMaxLp];
+  std::size_t sa, sb;
+  bool real;
+};
+
+void split_pair(const BatchedPairOp& p, std::size_t k, PairMatrices& out) {
+  for (int e = 0; e < 4; ++e) {
+    for (std::size_t l = 0; l < k / 2; ++l) {
+      split_entry(p.m_a + static_cast<std::size_t>(e) * k, 2 * l,
+                  out.rea[e][l], out.ima[e][l]);
+      split_entry(p.m_b + static_cast<std::size_t>(e) * k, 2 * l,
+                  out.reb[e][l], out.imb[e][l]);
+    }
+  }
+  out.sa = p.sa;
+  out.sb = p.sb;
+  out.real = entries_real(p.m_a, 4 * k) && entries_real(p.m_b, 4 * k);
+}
+
+/// x * m[e] + y * m[e + 1] for lane pair l (xs, ys: swapped x, y).
+template <bool kReal>
+[[gnu::always_inline]] inline __m256d mac2(__m256d x, __m256d xs, __m256d y,
+                                           __m256d ys,
+                                           const __m256d (&re)[4][kMaxLp],
+                                           const __m256d (&im)[4][kMaxLp],
+                                           int e, std::size_t l) {
+  if constexpr (kReal)
+    return _mm256_add_pd(_mm256_mul_pd(x, re[e][l]),
+                         _mm256_mul_pd(y, re[e + 1][l]));
+  else
+    return _mm256_add_pd(cmul_pre(x, xs, re[e][l], im[e][l]),
+                         cmul_pre(y, ys, re[e + 1][l], im[e + 1][l]));
+}
+
+/// The pair butterfly over one 4-row block, lane pair l: gate A on the
+/// stride-sa pairs (a00, a10) and (a01, a11), then gate B on the
+/// stride-sb pairs (b00, b01) and (b10, b11), results stored at p**.
+template <bool kReal>
+[[gnu::always_inline]] inline void pair_butterfly(
+    const PairMatrices& m, std::size_t l, __m256d a00, __m256d a01,
+    __m256d a10, __m256d a11, cplx* p00, cplx* p01, cplx* p10, cplx* p11) {
+  const __m256d a00s = swap_ri(a00), a01s = swap_ri(a01);
+  const __m256d a10s = swap_ri(a10), a11s = swap_ri(a11);
+  const __m256d b00 = mac2<kReal>(a00, a00s, a10, a10s, m.rea, m.ima, 0, l);
+  const __m256d b10 = mac2<kReal>(a00, a00s, a10, a10s, m.rea, m.ima, 2, l);
+  const __m256d b01 = mac2<kReal>(a01, a01s, a11, a11s, m.rea, m.ima, 0, l);
+  const __m256d b11 = mac2<kReal>(a01, a01s, a11, a11s, m.rea, m.ima, 2, l);
+  const __m256d b00s = swap_ri(b00), b01s = swap_ri(b01);
+  const __m256d b10s = swap_ri(b10), b11s = swap_ri(b11);
+  store2(p00 + 2 * l, mac2<kReal>(b00, b00s, b01, b01s, m.reb, m.imb, 0, l));
+  store2(p01 + 2 * l, mac2<kReal>(b00, b00s, b01, b01s, m.reb, m.imb, 2, l));
+  store2(p10 + 2 * l, mac2<kReal>(b10, b10s, b11, b11s, m.reb, m.imb, 0, l));
+  store2(p11 + 2 * l, mac2<kReal>(b10, b10s, b11, b11s, m.reb, m.imb, 2, l));
+}
+
+/// One pair's pass over the 4-row blocks in rows [row0, row1) (block
+/// aligned). With kDiag, `chain` runs on each block's amplitudes first
+/// and feeds straight into the butterflies: the weld. All-zero blocks
+/// are skipped -- the chain and both butterflies would only write
+/// (+/-)0 back (see kernels.hpp on the zero-sign caveat); on |0...0>
+/// the first layer's support grows 4x per pair pass, so its early
+/// passes touch almost nothing.
+template <bool kReal, bool kDiag>
+void sweep_pair(cplx* amps, std::size_t k, const PairMatrices& m,
+                std::size_t row0, std::size_t row1, const DiagChain* chain) {
+  const std::size_t sa = m.sa;
+  const std::size_t sb = m.sb;
   const std::size_t hi = sa > sb ? sa : sb;
   const std::size_t lo = sa > sb ? sb : sa;
   const __m256d sign = _mm256_set1_pd(-0.0);
-  for (std::size_t base = 0; base < dim; base += 2 * hi) {
+  std::size_t e00[kDiag ? kMaxDiagRun : 1], e01[kDiag ? kMaxDiagRun : 1];
+  std::size_t e10[kDiag ? kMaxDiagRun : 1], e11[kDiag ? kMaxDiagRun : 1];
+  for (std::size_t base = row0; base < row1; base += 2 * hi) {
     for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
       for (std::size_t off = 0; off < lo; ++off) {
-        cplx* p00 = amps + (mid + off) * k;
+        const std::size_t i00 = mid + off;
+        if constexpr (kDiag) {
+          for (std::size_t r = 0; r < chain->count; ++r) {
+            e00[r] = chain->entry(i00, r);
+            e01[r] = chain->entry(i00 + sb, r);
+            e10[r] = chain->entry(i00 + sa, r);
+            e11[r] = chain->entry(i00 + sa + sb, r);
+          }
+        }
+        cplx* p00 = amps + i00 * k;
         cplx* p01 = p00 + sb * k;
         cplx* p10 = p00 + sa * k;
         cplx* p11 = p10 + sb * k;
-        for (std::size_t l = 0; l < lp; ++l) {
-          const __m256d a00 = load2(p00 + 2 * l);
-          const __m256d a01 = load2(p01 + 2 * l);
-          const __m256d a10 = load2(p10 + 2 * l);
-          const __m256d a11 = load2(p11 + 2 * l);
-          // All-zero 4-row block: both butterflies would only write
-          // (+/-)0 back; skip the arithmetic and the four stores (see
-          // kernels.hpp on the zero-sign caveat). On |0...0> the first
-          // rotation layer's support grows 4x per pair pass, so its
-          // early passes touch almost nothing.
+        for (std::size_t l = 0; l < k / 2; ++l) {
+          __m256d a00 = load2(p00 + 2 * l);
+          __m256d a01 = load2(p01 + 2 * l);
+          __m256d a10 = load2(p10 + 2 * l);
+          __m256d a11 = load2(p11 + 2 * l);
           const __m256d mag = _mm256_andnot_pd(
               sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
                                  _mm256_or_pd(a10, a11)));
           if (_mm256_testz_si256(_mm256_castpd_si256(mag),
                                  _mm256_castpd_si256(mag)))
             continue;
-          const __m256d a00s = swap_ri(a00);
-          const __m256d a01s = swap_ri(a01);
-          const __m256d a10s = swap_ri(a10);
-          const __m256d a11s = swap_ri(a11);
-          // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-          const __m256d b00 =
-              _mm256_add_pd(cmul_pre(a00, a00s, rea[0][l], ima[0][l]),
-                            cmul_pre(a10, a10s, rea[1][l], ima[1][l]));
-          const __m256d b10 =
-              _mm256_add_pd(cmul_pre(a00, a00s, rea[2][l], ima[2][l]),
-                            cmul_pre(a10, a10s, rea[3][l], ima[3][l]));
-          const __m256d b01 =
-              _mm256_add_pd(cmul_pre(a01, a01s, rea[0][l], ima[0][l]),
-                            cmul_pre(a11, a11s, rea[1][l], ima[1][l]));
-          const __m256d b11 =
-              _mm256_add_pd(cmul_pre(a01, a01s, rea[2][l], ima[2][l]),
-                            cmul_pre(a11, a11s, rea[3][l], ima[3][l]));
-          const __m256d b00s = swap_ri(b00);
-          const __m256d b01s = swap_ri(b01);
-          const __m256d b10s = swap_ri(b10);
-          const __m256d b11s = swap_ri(b11);
-          // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-          store2(p00 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b00, b00s, reb[0][l], imb[0][l]),
-                               cmul_pre(b01, b01s, reb[1][l], imb[1][l])));
-          store2(p01 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b00, b00s, reb[2][l], imb[2][l]),
-                               cmul_pre(b01, b01s, reb[3][l], imb[3][l])));
-          store2(p10 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b10, b10s, reb[0][l], imb[0][l]),
-                               cmul_pre(b11, b11s, reb[1][l], imb[1][l])));
-          store2(p11 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b10, b10s, reb[2][l], imb[2][l]),
-                               cmul_pre(b11, b11s, reb[3][l], imb[3][l])));
-        }
-      }
-    }
-  }
-}
-
-
-
-void avx2_batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
-                                    const BatchedPairOp* pairs,
-                                    std::size_t count, std::size_t k) {
-  // Every pair's matrices pre-split once; large-span pairs then stream
-  // the buffer once each, and the trailing small-span pairs are
-  // cache-blocked: an aligned tile (<= kPairTileBytes) contains whole
-  // 4-row blocks of every remaining pair, so it takes all their passes
-  // while L2-resident. Only the iteration order of disjoint blocks
-  // changes relative to pair-at-a-time application, so results stay
-  // bit-identical.
-  const std::size_t lp = k / 2;
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[kMaxPairRun][4][kMaxLp], ima[kMaxPairRun][4][kMaxLp];
-  __m256d reb[kMaxPairRun][4][kMaxLp], imb[kMaxPairRun][4][kMaxLp];
-  for (std::size_t p = 0; p < count; ++p) {
-    for (int e = 0; e < 4; ++e) {
-      for (std::size_t l = 0; l < lp; ++l) {
-        split_entry(pairs[p].m_a + static_cast<std::size_t>(e) * k, 2 * l,
-                    rea[p][e][l], ima[p][e][l]);
-        split_entry(pairs[p].m_b + static_cast<std::size_t>(e) * k, 2 * l,
-                    reb[p][e][l], imb[p][e][l]);
-      }
-    }
-  }
-  bool realp[kMaxPairRun];
-  for (std::size_t p = 0; p < count; ++p)
-    realp[p] = entries_real(pairs[p].m_a, 4 * k) &&
-               entries_real(pairs[p].m_b, 4 * k);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  // Pair p over rows [row0, row1) -- the avx2_batched_apply_1q_pair
-  // body, restricted to a block-aligned subrange. kReal selects the
-  // real-matrix butterflies: both gate matrices purely real (rotation
-  // layers: ry, h), so each component just scales -- the dropped
-  // im-part products are exact zeros whose only effect is the sign of
-  // zero results (the documented caveat), at less than half the vector
-  // ops of the complex form.
-  const auto sweep_impl = [&]<bool kReal>(std::size_t p, std::size_t row0,
-                                          std::size_t row1) {
-    const std::size_t sa = pairs[p].sa;
-    const std::size_t sb = pairs[p].sb;
-    const std::size_t hi = sa > sb ? sa : sb;
-    const std::size_t lo = sa > sb ? sb : sa;
-    for (std::size_t base = row0; base < row1; base += 2 * hi) {
-      for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-        for (std::size_t off = 0; off < lo; ++off) {
-          cplx* p00 = amps + (mid + off) * k;
-          cplx* p01 = p00 + sb * k;
-          cplx* p10 = p00 + sa * k;
-          cplx* p11 = p10 + sb * k;
-          for (std::size_t l = 0; l < lp; ++l) {
-            const __m256d a00 = load2(p00 + 2 * l);
-            const __m256d a01 = load2(p01 + 2 * l);
-            const __m256d a10 = load2(p10 + 2 * l);
-            const __m256d a11 = load2(p11 + 2 * l);
-            // All-zero block skip, as avx2_batched_apply_1q_pair.
-            const __m256d mag = _mm256_andnot_pd(
-                sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
-                                   _mm256_or_pd(a10, a11)));
-            if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                   _mm256_castpd_si256(mag)))
-              continue;
-            if constexpr (kReal) {
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[p][0][l]),
-                                _mm256_mul_pd(a10, rea[p][1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[p][2][l]),
-                                _mm256_mul_pd(a10, rea[p][3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[p][0][l]),
-                                _mm256_mul_pd(a11, rea[p][1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[p][2][l]),
-                                _mm256_mul_pd(a11, rea[p][3][l]));
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[p][0][l]),
-                                   _mm256_mul_pd(b01, reb[p][1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[p][2][l]),
-                                   _mm256_mul_pd(b01, reb[p][3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[p][0][l]),
-                                   _mm256_mul_pd(b11, reb[p][1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[p][2][l]),
-                                   _mm256_mul_pd(b11, reb[p][3][l])));
-            } else {
-              const __m256d a00s = swap_ri(a00);
-              const __m256d a01s = swap_ri(a01);
-              const __m256d a10s = swap_ri(a10);
-              const __m256d a11s = swap_ri(a11);
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 = _mm256_add_pd(
-                  cmul_pre(a00, a00s, rea[p][0][l], ima[p][0][l]),
-                  cmul_pre(a10, a10s, rea[p][1][l], ima[p][1][l]));
-              const __m256d b10 = _mm256_add_pd(
-                  cmul_pre(a00, a00s, rea[p][2][l], ima[p][2][l]),
-                  cmul_pre(a10, a10s, rea[p][3][l], ima[p][3][l]));
-              const __m256d b01 = _mm256_add_pd(
-                  cmul_pre(a01, a01s, rea[p][0][l], ima[p][0][l]),
-                  cmul_pre(a11, a11s, rea[p][1][l], ima[p][1][l]));
-              const __m256d b11 = _mm256_add_pd(
-                  cmul_pre(a01, a01s, rea[p][2][l], ima[p][2][l]),
-                  cmul_pre(a11, a11s, rea[p][3][l], ima[p][3][l]));
-              const __m256d b00s = swap_ri(b00);
-              const __m256d b01s = swap_ri(b01);
-              const __m256d b10s = swap_ri(b10);
-              const __m256d b11s = swap_ri(b11);
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b00, b00s, reb[p][0][l], imb[p][0][l]),
-                         cmul_pre(b01, b01s, reb[p][1][l], imb[p][1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b00, b00s, reb[p][2][l], imb[p][2][l]),
-                         cmul_pre(b01, b01s, reb[p][3][l], imb[p][3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b10, b10s, reb[p][0][l], imb[p][0][l]),
-                         cmul_pre(b11, b11s, reb[p][1][l], imb[p][1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b10, b10s, reb[p][2][l], imb[p][2][l]),
-                         cmul_pre(b11, b11s, reb[p][3][l], imb[p][3][l])));
-            }
-          }
-        }
-      }
-    }
-  };
-  const auto sweep = [&](std::size_t p, std::size_t row0, std::size_t row1) {
-    if (realp[p])
-      sweep_impl.template operator()<true>(p, row0, row1);
-    else
-      sweep_impl.template operator()<false>(p, row0, row1);
-  };
-  const auto span = [&](std::size_t p) {
-    return 2 * std::max(pairs[p].sa, pairs[p].sb);
-  };
-  // t0 = start of the longest suffix whose spans all fit in one tile.
-  const std::size_t tile_rows = kPairTileBytes / (k * sizeof(cplx));
-  std::size_t t0 = count;
-  while (t0 > 0 && span(t0 - 1) <= tile_rows) --t0;
-  for (std::size_t p = 0; p < t0; ++p) sweep(p, 0, dim);
-  if (count - t0 >= 2) {
-    std::size_t tile = 0;
-    for (std::size_t p = t0; p < count; ++p) tile = std::max(tile, span(p));
-    for (std::size_t base = 0; base < dim; base += tile)
-      for (std::size_t p = t0; p < count; ++p) sweep(p, base, base + tile);
-  } else if (t0 < count) {
-    sweep(t0, 0, dim);
-  }
-}
-
-void avx2_batched_apply_diag_run_then_1q_pair(cplx* amps, std::size_t dim,
-                                              const BatchedDiagOp* ops,
-                                              std::size_t count,
-                                              std::size_t sa, const cplx* m_a,
-                                              std::size_t sb, const cplx* m_b,
-                                              std::size_t k) {
-  // avx2_batched_apply_diag_run's pre-split entry table and per-row
-  // entry selection, welded onto avx2_batched_apply_1q_pair's 4-row
-  // block walk: each amplitude runs its diag product chain in registers
-  // (serial per amplitude, four chains in flight) and feeds straight
-  // into the two butterflies. Per amplitude the operation sequence is
-  // identical to the two separate kernels, so results stay
-  // bit-identical; the k-wide buffer streams once instead of twice.
-  const std::size_t lp = k / 2;
-  std::vector<__m256d> pre(count * 4 * lp * 2);
-  for (std::size_t r = 0; r < count; ++r) {
-    const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
-    for (std::size_t e = 0; e < entries; ++e)
-      for (std::size_t l = 0; l < lp; ++l) {
-        __m256d* slot = pre.data() + ((r * 4 + e) * lp + l) * 2;
-        split_entry(ops[r].d + e * k, 2 * l, slot[0], slot[1]);
-      }
-  }
-  const auto entry_base = [&](std::size_t i, std::size_t r) {
-    const BatchedDiagOp& op = ops[r];
-    std::size_t e = (i & op.sa) ? 1 : 0;
-    if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
-    return (r * 4 + e) * lp * 2;
-  };
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[4][kMaxLp], ima[4][kMaxLp], reb[4][kMaxLp], imb[4][kMaxLp];
-  for (int e = 0; e < 4; ++e) {
-    for (std::size_t l = 0; l < lp; ++l) {
-      split_entry(m_a + static_cast<std::size_t>(e) * k, 2 * l, rea[e][l],
-                  ima[e][l]);
-      split_entry(m_b + static_cast<std::size_t>(e) * k, 2 * l, reb[e][l],
-                  imb[e][l]);
-    }
-  }
-  const std::size_t hi = sa > sb ? sa : sb;
-  const std::size_t lo = sa > sb ? sb : sa;
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const bool realp =
-      entries_real(m_a, 4 * k) && entries_real(m_b, 4 * k);
-  std::size_t e00[kMaxDiagRun], e01[kMaxDiagRun];
-  std::size_t e10[kMaxDiagRun], e11[kMaxDiagRun];
-  // kReal: real-matrix butterflies for purely real gate matrices (the
-  // diag chain stays complex); see avx2_batched_apply_1q_pair_run.
-  const auto run = [&]<bool kReal>() {
-    for (std::size_t base = 0; base < dim; base += 2 * hi) {
-      for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-        for (std::size_t off = 0; off < lo; ++off) {
-          const std::size_t i00 = mid + off;
-          for (std::size_t r = 0; r < count; ++r) {
-            e00[r] = entry_base(i00, r);
-            e01[r] = entry_base(i00 + sb, r);
-            e10[r] = entry_base(i00 + sa, r);
-            e11[r] = entry_base(i00 + sa + sb, r);
-          }
-          cplx* p00 = amps + i00 * k;
-          cplx* p01 = p00 + sb * k;
-          cplx* p10 = p00 + sa * k;
-          cplx* p11 = p10 + sb * k;
-          for (std::size_t l = 0; l < lp; ++l) {
-            __m256d a00 = load2(p00 + 2 * l);
-            __m256d a01 = load2(p01 + 2 * l);
-            __m256d a10 = load2(p10 + 2 * l);
-            __m256d a11 = load2(p11 + 2 * l);
-            // All-zero block: diag chains and butterflies would only
-            // write (+/-)0 back (see kernels.hpp on the zero-sign
-            // caveat).
-            const __m256d mag = _mm256_andnot_pd(
-                sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
-                                   _mm256_or_pd(a10, a11)));
-            if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                   _mm256_castpd_si256(mag)))
-              continue;
-            for (std::size_t r = 0; r < count; ++r) {
-              const __m256d* d00 = pre.data() + e00[r] + 2 * l;
-              const __m256d* d01 = pre.data() + e01[r] + 2 * l;
-              const __m256d* d10 = pre.data() + e10[r] + 2 * l;
-              const __m256d* d11 = pre.data() + e11[r] + 2 * l;
+          if constexpr (kDiag) {
+            // Four independent chains in flight, as in diag_rows.
+            for (std::size_t r = 0; r < chain->count; ++r) {
+              const __m256d* d00 = chain->pre.data() + e00[r] + 2 * l;
+              const __m256d* d01 = chain->pre.data() + e01[r] + 2 * l;
+              const __m256d* d10 = chain->pre.data() + e10[r] + 2 * l;
+              const __m256d* d11 = chain->pre.data() + e11[r] + 2 * l;
               a00 = cmul_pre(a00, swap_ri(a00), d00[0], d00[1]);
               a01 = cmul_pre(a01, swap_ri(a01), d01[0], d01[1]);
               a10 = cmul_pre(a10, swap_ri(a10), d10[0], d10[1]);
               a11 = cmul_pre(a11, swap_ri(a11), d11[0], d11[1]);
             }
-            if constexpr (kReal) {
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[0][l]),
-                                _mm256_mul_pd(a10, rea[1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[2][l]),
-                                _mm256_mul_pd(a10, rea[3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[0][l]),
-                                _mm256_mul_pd(a11, rea[1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[2][l]),
-                                _mm256_mul_pd(a11, rea[3][l]));
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[0][l]),
-                                   _mm256_mul_pd(b01, reb[1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[2][l]),
-                                   _mm256_mul_pd(b01, reb[3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[0][l]),
-                                   _mm256_mul_pd(b11, reb[1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[2][l]),
-                                   _mm256_mul_pd(b11, reb[3][l])));
-            } else {
-              const __m256d a00s = swap_ri(a00);
-              const __m256d a01s = swap_ri(a01);
-              const __m256d a10s = swap_ri(a10);
-              const __m256d a11s = swap_ri(a11);
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(cmul_pre(a00, a00s, rea[0][l], ima[0][l]),
-                                cmul_pre(a10, a10s, rea[1][l], ima[1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(cmul_pre(a00, a00s, rea[2][l], ima[2][l]),
-                                cmul_pre(a10, a10s, rea[3][l], ima[3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(cmul_pre(a01, a01s, rea[0][l], ima[0][l]),
-                                cmul_pre(a11, a11s, rea[1][l], ima[1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(cmul_pre(a01, a01s, rea[2][l], ima[2][l]),
-                                cmul_pre(a11, a11s, rea[3][l], ima[3][l]));
-              const __m256d b00s = swap_ri(b00);
-              const __m256d b01s = swap_ri(b01);
-              const __m256d b10s = swap_ri(b10);
-              const __m256d b11s = swap_ri(b11);
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b00, b00s, reb[0][l], imb[0][l]),
-                                   cmul_pre(b01, b01s, reb[1][l], imb[1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b00, b00s, reb[2][l], imb[2][l]),
-                                   cmul_pre(b01, b01s, reb[3][l], imb[3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b10, b10s, reb[0][l], imb[0][l]),
-                                   cmul_pre(b11, b11s, reb[1][l], imb[1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b10, b10s, reb[2][l], imb[2][l]),
-                                   cmul_pre(b11, b11s, reb[3][l], imb[3][l])));
-            }
           }
+          pair_butterfly<kReal>(m, l, a00, a01, a10, a11, p00, p01, p10, p11);
         }
       }
     }
+  }
+}
+
+void sweep(cplx* amps, std::size_t k, const PairMatrices& m, std::size_t row0,
+           std::size_t row1, const DiagChain* chain) {
+  if (chain != nullptr) {
+    if (m.real)
+      sweep_pair<true, true>(amps, k, m, row0, row1, chain);
+    else
+      sweep_pair<false, true>(amps, k, m, row0, row1, chain);
+  } else if (m.real) {
+    sweep_pair<true, false>(amps, k, m, row0, row1, nullptr);
+  } else {
+    sweep_pair<false, false>(amps, k, m, row0, row1, nullptr);
+  }
+}
+
+void avx2_batched_apply_fused(cplx* amps, std::size_t dim,
+                              const BatchedDiagOp* diag, std::size_t nd,
+                              const BatchedPairOp* pairs, std::size_t np,
+                              std::size_t k) {
+  const DiagChain chain(diag, nd, k);
+  if (np == 0) {
+    diag_rows(amps, dim, k, chain);
+    return;
+  }
+  PairMatrices m[kMaxPairRun + 1];
+  for (std::size_t p = 0; p < np; ++p) split_pair(pairs[p], k, m[p]);
+  // The weld: the chain rides pairs[0]'s block pass.
+  std::size_t first = 0;
+  if (nd > 0) sweep(amps, k, m[first++], 0, dim, &chain);
+  // The tiled run over the rest: large-span pairs stream the buffer
+  // once each; the trailing small-span pairs are cache-blocked -- an
+  // aligned tile (<= kPairTileBytes) contains whole 4-row blocks of
+  // every one of them, so it takes all their passes while L2-resident.
+  // t0 = start of the longest suffix whose spans all fit in one tile.
+  const auto span = [&](std::size_t p) {
+    return 2 * std::max(m[p].sa, m[p].sb);
   };
-  if (realp)
-    run.template operator()<true>();
-  else
-    run.template operator()<false>();
+  const std::size_t tile_rows = kPairTileBytes / (k * sizeof(cplx));
+  std::size_t t0 = np;
+  while (t0 > first && span(t0 - 1) <= tile_rows) --t0;
+  for (std::size_t p = first; p < t0; ++p)
+    sweep(amps, k, m[p], 0, dim, nullptr);
+  if (np - t0 >= 2) {
+    std::size_t tile = 0;
+    for (std::size_t p = t0; p < np; ++p) tile = std::max(tile, span(p));
+    for (std::size_t base = 0; base < dim; base += tile)
+      for (std::size_t p = t0; p < np; ++p)
+        sweep(amps, k, m[p], base, base + tile, nullptr);
+  } else if (t0 < np) {
+    sweep(amps, k, m[t0], 0, dim, nullptr);
+  }
 }
 
 // ---- Trajectory-noise weight / renormalization kernels ---------------------
@@ -947,7 +736,6 @@ inline bool kraus_entries_real(const cplx* m) {
 void avx2_batched_kraus_weight(const cplx* amps, std::size_t dim,
                                std::size_t stride, std::size_t k,
                                const cplx* m, double* w) {
-  constexpr std::size_t kMaxLp = 16;
   const std::size_t lp = k / 2;
   __m256d acc[kMaxLp];
   for (std::size_t l = 0; l < lp; ++l) acc[l] = _mm256_setzero_pd();
@@ -1063,7 +851,6 @@ void avx2_batched_kraus_weight(const cplx* amps, std::size_t dim,
 
 void avx2_batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
                         double* sums) {
-  constexpr std::size_t kMaxLp = 16;
   const std::size_t lp = k / 2;
   const std::size_t q4 = k / 4;
   const bool pair_tail = (k % 4) != 0;
@@ -1102,7 +889,6 @@ void avx2_batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
 
 void avx2_batched_scale(cplx* amps, std::size_t dim, std::size_t k,
                         const double* scale) {
-  constexpr std::size_t kMaxLp = 16;
   const std::size_t lp = k / 2;
   __m256d sc[kMaxLp];
   for (std::size_t l = 0; l < lp; ++l)
@@ -1123,14 +909,10 @@ const detail::SimdVTable kAvx2VTable = {
     .apply_diag_2q = avx2_apply_diag_2q,
     .apply_pauli_y = avx2_apply_pauli_y,
     .batched_apply_1q = avx2_batched_apply_1q,
-    .batched_apply_1q_pair = avx2_batched_apply_1q_pair,
-    .batched_apply_1q_pair_run = avx2_batched_apply_1q_pair_run,
     .batched_apply_2q = avx2_batched_apply_2q,
     .batched_apply_diag_1q = avx2_batched_apply_diag_1q,
     .batched_apply_diag_2q = avx2_batched_apply_diag_2q,
-    .batched_apply_diag_run_then_1q_pair =
-        avx2_batched_apply_diag_run_then_1q_pair,
-    .batched_apply_diag_run = avx2_batched_apply_diag_run,
+    .batched_apply_fused = avx2_batched_apply_fused,
     .batched_apply_pauli_y = avx2_batched_apply_pauli_y,
     .batched_kraus_weight = avx2_batched_kraus_weight,
     .batched_norms = avx2_batched_norms,

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstring>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/cost_model.hpp"
+#include "qoc/sim/kernels.hpp"
 
 namespace {
 
@@ -226,6 +231,13 @@ TEST(BatchedStatevectorShape, ValidatesConstruction) {
   EXPECT_EQ(sv.num_qubits(), 3);
   EXPECT_EQ(sv.lanes(), 4u);
   EXPECT_EQ(sv.dim(), 8u);
+
+  // A compiled plan's fusion schedule is resolved for its own register.
+  const CompiledCircuit plan = CompiledCircuit::compile(dense_circuit(4));
+  std::vector<double> angles;
+  plan.resolve_slots_lanes(make_evals(4, 4).evals, angles);
+  CompiledCircuit::LaneScratch scratch;
+  EXPECT_THROW(plan.apply_batched(sv, angles, scratch), std::invalid_argument);
 }
 
 // ---- Bitwise parity: run_batch ---------------------------------------------
@@ -467,6 +479,209 @@ TEST(BatchKernelParity, RunThenRunBatchSampledSerialStateMatches) {
   for (std::size_t i = 0; i < ref.size(); ++i)
     for (std::size_t q = 0; q < ref[i].size(); ++q)
       EXPECT_EQ(ref[i][q], got[i][q]);
+}
+
+// ---- Golden outputs on large registers, every kernel mode ------------------
+
+// Ring-and-layer circuit sized to reach every fused-layer shape of the
+// k-wide path: an H layer (dense pairs on |0...0>, all-zero block skip),
+// then a diagonal run longer than kMaxDiagRun (RZZ rings alternating
+// with RZ layers: 42 ops at n = 14, 40 at n = 10), so it chunks and its
+// last chunk welds into an RY + RX double layer (n dense pairs: more
+// than kMaxPairRun, so the tiled run chunks; at n = 14 the large-stride
+// pairs stream and the rest tile), and one unpaired RY before a CX.
+Circuit large_layered_circuit(int n) {
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.h(q);
+  for (int layer = 0; n * layer <= 32; ++layer) {
+    for (int q = 0; q < n; ++q) {
+      if (layer % 2 == 0)
+        c.rzz(q, (q + 1 + layer / 2) % n,
+              ParamRef::trainable((q + layer) % n));
+      else
+        c.rz(q, ParamRef::input(q % 2, 0.5, 0.1 * (q + layer)));
+    }
+  }
+  for (int q = 0; q < n; ++q) c.ry(q, ParamRef::trainable((q + 1) % n));
+  for (int q = 0; q < n; ++q) c.rx(q, ParamRef::trainable((q + 3) % n));
+  c.ry(0, ParamRef::trainable(0));
+  c.cx(0, n - 1);
+  return c;
+}
+
+// A three-term observable (Z-, X- and Y-basis groups) for expect_batch.
+qoc::exec::CompiledObservable small_observable(int n) {
+  std::string zz(static_cast<std::size_t>(n), 'I');
+  std::string xx = zz;
+  std::string y = zz;
+  zz[0] = zz[1] = 'Z';
+  xx[static_cast<std::size_t>(n) - 2] = xx[static_cast<std::size_t>(n) - 1] =
+      'X';
+  y[static_cast<std::size_t>(n) / 2] = 'Y';
+  const std::vector<qoc::exec::ObservableTerm> terms = {
+      {zz, 0.5}, {xx, 0.25}, {y, -0.75}};
+  return qoc::exec::CompiledObservable::compile(n, terms);
+}
+
+// FNV-1a over the bit patterns of every value, with zeros folded to +0
+// (the kernels' documented sign-of-zeros latitude).
+std::uint64_t digest(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : values) {
+    const double c = (v == 0.0) ? 0.0 : v;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &c, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::vector<double> flatten(const std::vector<std::vector<double>>& rows) {
+  std::vector<double> out;
+  for (const auto& r : rows) out.insert(out.end(), r.begin(), r.end());
+  return out;
+}
+
+struct LargeGolden {
+  int n;
+  std::size_t count;
+  std::uint64_t exact_run;
+  std::uint64_t exact_expect;
+  std::uint64_t sampled_run;
+};
+
+TEST(BatchKernelGolden, LargeRegistersEveryModeAndWidth) {
+  using qoc::sim::kernels::KernelMode;
+  using qoc::sim::kernels::set_kernel_mode;
+  // Every kernel mode and lane width reproduces these digests bit for
+  // bit, the scalar path (lanes = 1) included.
+  const LargeGolden goldens[] = {
+      {10, 19, 0x4838434494fdb67fULL, 0x92f12e2d19f03413ULL,
+       0x8f0711edb2bf9531ULL},
+      {14, 8, 0x7999eb7b97ce082fULL, 0xd8a72d6046fbf8d0ULL,
+       0xcf42722859c7b3a2ULL},
+  };
+  for (const LargeGolden& g : goldens) {
+    const CompiledCircuit plan =
+        CompiledCircuit::compile(large_layered_circuit(g.n));
+    const auto obs = small_observable(g.n);
+    const EvalSet s = make_evals(g.n, g.count, /*pin_streams=*/true);
+    for (const KernelMode mode :
+         {KernelMode::Auto, KernelMode::Blocked, KernelMode::Scalar}) {
+      set_kernel_mode(mode);
+      for (const int lanes : {-1, 2, 4, 16, 1}) {
+        SCOPED_TRACE("n=" + std::to_string(g.n) +
+                     " mode=" + std::to_string(static_cast<int>(mode)) +
+                     " lanes=" + std::to_string(lanes));
+        StatevectorBackend exact = wide_backend(0, lanes);
+        EXPECT_EQ(digest(flatten(exact.run_batch(plan, s.evals, 4))),
+                  g.exact_run);
+        EXPECT_EQ(digest(exact.expect_batch(plan, obs, s.evals, 4)),
+                  g.exact_expect);
+        StatevectorBackend sampled = wide_backend(256, lanes);
+        EXPECT_EQ(digest(flatten(sampled.run_batch(plan, s.evals, 4))),
+                  g.sampled_run);
+      }
+    }
+  }
+  set_kernel_mode(KernelMode::Auto);
+}
+
+TEST(BatchKernelParity, FusedStepMatchesPerGatePasses) {
+  // batched_apply_fused against one per-gate pass per diagonal and two
+  // per pair, in every kernel mode, on a state whose first quarter is
+  // zero (the all-zero block skip). n = 12 at k = 16 puts the pairs on
+  // qubits 0 and 1 over the kPairTileBytes tile, so the tiled run streams
+  // its first two pairs and tiles the other six; pairs mix real (ry-like)
+  // and complex matrices, and the weld's first pair is complex in one
+  // shape and real in another.
+  namespace kn = qoc::sim::kernels;
+  using cplx = std::complex<double>;
+  constexpr int n = 12;
+  constexpr std::size_t k = 16;
+  constexpr std::size_t dim = std::size_t{1} << n;
+  std::mt19937_64 rng(kSeed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const auto stride = [](int q) { return std::size_t{1} << (n - 1 - q); };
+  // Entry-major per-lane buffer of `entries` entries; real keeps im = 0.
+  const auto lane_entries = [&](std::size_t entries, bool real) {
+    std::vector<cplx> e(entries * k);
+    for (auto& v : e) v = {u(rng), real ? 0.0 : u(rng)};
+    return e;
+  };
+  std::vector<cplx> state(dim * k);
+  for (std::size_t i = dim / 4 * k; i < state.size(); ++i)
+    state[i] = {u(rng), u(rng)};
+
+  struct Shape {
+    std::size_t nd;
+    std::vector<std::pair<int, int>> pairs;
+    bool real_weld;
+  };
+  const std::vector<std::pair<int, int>> layer = {
+      {0, 1}, {1, 0}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}, {3, 2}};
+  std::vector<std::pair<int, int>> welded = {{5, 2}};
+  welded.insert(welded.end(), layer.begin(), layer.end());
+  const Shape shapes[] = {
+      {7, {}, false},                    // the chain
+      {3, {{4, 9}}, false},              // complex weld, nothing after it
+      {5, {{2, 7}, {0, 3}}, false},      // complex weld, one pair after it
+      {kn::kMaxDiagRun, welded, true},   // real weld, full tiled run after
+      {0, layer, false},                 // the tiled run
+      {0, {{11, 0}}, false},             // one pair, one pass
+  };
+  std::vector<std::vector<cplx>> storage;
+  for (const Shape& shape : shapes) {
+    std::vector<kn::BatchedDiagOp> diag;
+    for (std::size_t r = 0; r < shape.nd; ++r) {
+      const int a = static_cast<int>((5 * r) % n);
+      const int b = (a + 1 + static_cast<int>(r % (n - 1))) % n;  // b != a
+      const bool two_q = r % 3 != 1;
+      storage.push_back(lane_entries(two_q ? 4 : 2, false));
+      diag.push_back({storage.back().data(), stride(a),
+                      two_q ? stride(b) : 0});
+    }
+    std::vector<kn::BatchedPairOp> pairs;
+    for (std::size_t p = 0; p < shape.pairs.size(); ++p) {
+      const bool real = (p == 0) ? shape.real_weld : p % 2 == 0;
+      storage.push_back(lane_entries(4, real));
+      const cplx* m_a = storage.back().data();
+      storage.push_back(lane_entries(4, real));
+      pairs.push_back({stride(shape.pairs[p].first),
+                       stride(shape.pairs[p].second), m_a,
+                       storage.back().data()});
+    }
+    for (const kn::KernelMode mode :
+         {kn::KernelMode::Auto, kn::KernelMode::Blocked,
+          kn::KernelMode::Scalar}) {
+      kn::set_kernel_mode(mode);
+      std::vector<cplx> ref = state;
+      for (const auto& d : diag) {
+        if (d.sb == 0)
+          kn::batched_apply_diag_1q(ref.data(), dim, d.sa, k, d.d);
+        else
+          kn::batched_apply_diag_2q(ref.data(), dim, d.sa, d.sb, k, d.d);
+      }
+      for (const auto& p : pairs) {
+        kn::batched_apply_1q(ref.data(), dim, p.sa, k, p.m_a);
+        kn::batched_apply_1q(ref.data(), dim, p.sb, k, p.m_b);
+      }
+      std::vector<cplx> got = state;
+      kn::batched_apply_fused(got.data(), dim, diag.data(), diag.size(),
+                              pairs.data(), pairs.size(), k);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        mismatches += (got[i].real() != ref[i].real() ||
+                       got[i].imag() != ref[i].imag());  // +0 == -0
+      EXPECT_EQ(mismatches, 0u)
+          << "nd=" << shape.nd << " np=" << pairs.size()
+          << " mode=" << static_cast<int>(mode);
+    }
+  }
+  kn::set_kernel_mode(kn::KernelMode::Auto);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -502,6 +504,64 @@ TEST(ObsMacros, DeviceBackendsRecordSimulatedRegister) {
   reg.gauge("qoc_backend_register_qubits").set(0);
   dm.run(model.plan(), theta, input);
   EXPECT_EQ(reg.gauge("qoc_backend_register_qubits").value(), 4);
+}
+
+TEST(ObsTracer, DeviceBackendsRecordKernelSpans) {
+  // The device backends' simulation -- noisy trajectories, exact density
+  // evolution -- is "kernel" time: one span per evaluation, nested in
+  // the backend/run_batch span on the calling thread (threads = 1), and
+  // tracing it changes no result bit.
+  const auto model = qml::make_task_model("mnist4");
+  const std::vector<double> theta(
+      static_cast<std::size_t>(model.num_params()), 0.3);
+  std::vector<std::vector<double>> inputs;
+  std::vector<exec::Evaluation> evals;
+  for (unsigned k = 0; k < 3; ++k)
+    inputs.push_back(make_input(model.num_inputs(), k));
+  for (const auto& in : inputs) evals.push_back({theta, in});
+  const auto device = noise::DeviceModel::ibmq_jakarta();
+  backend::NoisyBackendOptions opt;
+  opt.trajectories = 2;
+  opt.shots = 16;
+  struct Case {
+    const char* span;
+    std::function<std::unique_ptr<backend::Backend>()> make;
+  };
+  const Case cases[] = {
+      {"noisy_trajectories",
+       [&] { return std::make_unique<backend::NoisyBackend>(device, opt); }},
+      {"density_evolve",
+       [&] { return std::make_unique<backend::DensityMatrixBackend>(device); }},
+  };
+  auto& tracer = obs::Tracer::instance();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.span);
+    tracer.stop();
+    tracer.clear();
+    const auto untraced = c.make()->run_batch(model.plan(), evals, 1);
+    tracer.start(1 << 12);
+    const auto traced = c.make()->run_batch(model.plan(), evals, 1);
+    tracer.stop();
+    const std::string json = tracer.chrome_json();
+    tracer.clear();
+    EXPECT_EQ(traced, untraced);
+
+    const auto batch = trace_lines_with(json, "\"name\":\"run_batch\"");
+    const auto kernel =
+        trace_lines_with(json, "\"name\":\"" + std::string(c.span) + "\"");
+    ASSERT_EQ(batch.size(), 1u);
+    ASSERT_EQ(kernel.size(), evals.size());
+    const double t0 = trace_field(batch[0], "ts");
+    const double t1 = t0 + trace_field(batch[0], "dur");
+    for (const auto& line : kernel) {
+      EXPECT_NE(line.find("\"cat\":\"kernel\""), std::string::npos);
+      EXPECT_EQ(trace_field(line, "tid"), trace_field(batch[0], "tid"));
+      EXPECT_GE(trace_field(line, "ts"), t0);
+      // ts/dur print whole nanoseconds in us; allow their rounding.
+      EXPECT_LE(trace_field(line, "ts") + trace_field(line, "dur"),
+                t1 + 1e-3);
+    }
+  }
 }
 
 #endif  // QOC_OBS
